@@ -21,6 +21,7 @@
 #include "util/cli.hpp"
 #include "workloads/driver.hpp"
 #include "workloads/hashtable_wl.hpp"
+#include "workloads/mono.hpp"
 
 namespace {
 
@@ -82,33 +83,41 @@ void ablation_orecs(const Cli& cli) {
 
 // -- C: semantic tree descent --------------------------------------------------
 
+/// 20% inserts, 80% lookups on a pre-populated red-black tree.
+class TreeWorkload final : public MonoWorkload<TreeWorkload> {
+ public:
+  explicit TreeWorkload(bool semantic_descent)
+      : tree_(1 << 16, semantic_descent) {}
+
+  void setup(Rng& rng) override {
+    auto algo = make_algorithm("cgl");
+    ThreadCtx ctx(algo->make_tx());
+    CtxBinder bind(ctx);
+    for (int i = 0; i < 2000; ++i) {
+      const auto k = static_cast<std::int64_t>(rng.below(1 << 14));
+      atomically([&](auto& tx) { (void)tree_.insert(tx, k, k); });
+    }
+  }
+
+  template <typename TxT>
+  void op_t(unsigned, Rng& rng) {
+    const auto k = static_cast<std::int64_t>(rng.below(1 << 14));
+    if (rng.percent(20)) {
+      atomically<TxT>([&](TxT& tx) { (void)tree_.insert(tx, k, k); });
+    } else {
+      atomically<TxT>([&](TxT& tx) { (void)tree_.find(tx, k); });
+    }
+  }
+
+ private:
+  TRbMap tree_;
+};
+
 void ablation_tree(const Cli& cli) {
   std::printf("## C. semantic RB-tree descent (extension beyond the paper)\n");
   const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 400));
   for (const bool semantic_descent : {false, true}) {
-    class W final : public Workload {
-     public:
-      explicit W(bool sd) : tree(1 << 16, sd) {}
-      void setup(Rng& rng) override {
-        auto algo = make_algorithm("cgl");
-        ThreadCtx ctx(algo->make_tx());
-        CtxBinder bind(ctx);
-        for (int i = 0; i < 2000; ++i) {
-          const auto k = static_cast<std::int64_t>(rng.below(1 << 14));
-          atomically([&](Tx& tx) { (void)tree.insert(tx, k, k); });
-        }
-      }
-      void op(unsigned, Rng& rng) override {
-        const auto k = static_cast<std::int64_t>(rng.below(1 << 14));
-        if (rng.percent(20)) {
-          atomically([&](Tx& tx) { (void)tree.insert(tx, k, k); });
-        } else {
-          atomically([&](Tx& tx) { (void)tree.find(tx, k); });
-        }
-      }
-      TRbMap tree;
-    };
-    W w(semantic_descent);
+    TreeWorkload w(semantic_descent);
     RunConfig cfg;
     cfg.algo = "snorec";
     cfg.threads = 8;

@@ -21,6 +21,7 @@
 #include "tmir/interp.hpp"
 #include "tmir/kernels.hpp"
 #include "tmir/passes.hpp"
+#include "workloads/mono.hpp"
 
 namespace semstm::bench {
 namespace {
@@ -36,7 +37,7 @@ tmir::InterpOptions gcc_mode(tword* shadow) {
 }
 
 /// Open-addressing hashtable driven entirely through interpreted IR.
-class IrHashWorkload final : public Workload {
+class IrHashWorkload final : public MonoWorkload<IrHashWorkload> {
  public:
   static constexpr std::size_t kCap = 4096;
   static constexpr std::size_t kKeySpace = 3584;
@@ -75,7 +76,8 @@ class IrHashWorkload final : public Workload {
     }
   }
 
-  void op(unsigned, Rng& rng) override {
+  template <typename TxT>
+  void op_t(unsigned, Rng& rng) {
     struct Planned {
       word_t key;
       unsigned kind;
@@ -87,7 +89,7 @@ class IrHashWorkload final : public Workload {
       p.kind = roll < 20 ? 0u : roll < 40 ? 1u : 2u;  // insert/remove/probe
     }
     tword shadow[kMaxLocals];
-    atomically([&](Tx& tx) {
+    atomically<TxT>([&](TxT& tx) {
       for (const Planned& p : plan) {
         const std::array<word_t, 6> args{
             to_word(states_[0].word()), to_word(keys_[0].word()),
@@ -119,7 +121,7 @@ class IrHashWorkload final : public Workload {
 /// path (GCC instruments them as plain reads — exactly what its pass does
 /// with STAMP's comparator-driven tree code) + the record-check/reserve
 /// region as interpreted IR.
-class IrVacationWorkload final : public Workload {
+class IrVacationWorkload final : public MonoWorkload<IrVacationWorkload> {
  public:
   static constexpr std::size_t kRelations = 256;
 
@@ -142,14 +144,15 @@ class IrVacationWorkload final : public Workload {
     ThreadCtx ctx(algo->make_tx());
     CtxBinder bind(ctx);
     for (std::size_t id = 0; id < kRelations; ++id) {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         table_.insert(tx, static_cast<std::int64_t>(id),
                       static_cast<std::int64_t>(id));
       });
     }
   }
 
-  void op(unsigned, Rng& rng) override {
+  template <typename TxT>
+  void op_t(unsigned, Rng& rng) {
     std::array<std::int64_t, 4> ids;
     for (auto& id : ids) {
       id = static_cast<std::int64_t>(rng.below(kRelations));
@@ -157,7 +160,7 @@ class IrVacationWorkload final : public Workload {
     const bool update_profile = rng.percent(15);
     const std::int64_t new_price = rng.between(50, 500);
     tword shadow[kMaxLocals];
-    atomically([&](Tx& tx) {
+    atomically<TxT>([&](TxT& tx) {
       std::array<word_t, 6> args{to_word(num_free_[0].word()),
                                  to_word(price_[0].word())};
       for (int q = 0; q < 4; ++q) {

@@ -30,28 +30,14 @@ const char* algo_of(int idx) {
   return names[idx];
 }
 
-/// Run `body` under the dispatch tier selected by the benchmark's second
-/// range argument (0 = virtual/type-erased, 1 = static/monomorphized), and
-/// tag the label `algo/virtual` or `algo/static` so the two series are
-/// separable in BENCH_micro.json. `body` is a generic lambda over the
-/// dispatch tag: instantiated once with VirtualTag (tx_type = Tx) and once
-/// per concrete core via dispatch_algorithm — the exact mechanism the
-/// workload driver uses (DESIGN.md §4.12).
+/// Run `body` with the descriptor core of algorithm `name`, hoisting the
+/// dispatch out of the timed loop, and label the run with the name. `body`
+/// is a generic lambda over the dispatch tag — the mechanism the workload
+/// driver uses (DESIGN.md §4.12).
 template <typename Body>
-void run_dispatch_tier(benchmark::State& state, const char* name,
-                       Body&& body) {
-  if (state.range(1) != 0) {
-    dispatch_algorithm(algo_id(name), body);
-    state.SetLabel(std::string(name) + "/static");
-  } else {
-    body(VirtualTag{});
-    state.SetLabel(std::string(name) + "/virtual");
-  }
-}
-
-/// algo index 0-4 crossed with dispatch tier 0-1.
-void algo_x_dispatch(benchmark::internal::Benchmark* b) {
-  b->ArgsProduct({benchmark::CreateDenseRange(0, 4, /*step=*/1), {0, 1}});
+void run_on_core(benchmark::State& state, const char* name, Body&& body) {
+  dispatch_algorithm(algo_id(name), body);
+  state.SetLabel(name);
 }
 
 struct Bound {
@@ -69,7 +55,7 @@ void BM_ReadTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(7);
-  run_dispatch_tier(state, name, [&](auto tag) {
+  run_on_core(state, name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       benchmark::DoNotOptimize(
@@ -77,27 +63,27 @@ void BM_ReadTx(benchmark::State& state) {
     }
   });
 }
-BENCHMARK(BM_ReadTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_ReadTx)->DenseRange(0, 4);
 
 void BM_WriteTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(0);
   long v = 0;
-  run_dispatch_tier(state, name, [&](auto tag) {
+  run_on_core(state, name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       atomically<TxT>([&](TxT& tx) { x.set(tx, ++v); });
     }
   });
 }
-BENCHMARK(BM_WriteTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_WriteTx)->DenseRange(0, 4);
 
 void BM_CompareTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(7);
-  run_dispatch_tier(state, name, [&](auto tag) {
+  run_on_core(state, name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       benchmark::DoNotOptimize(
@@ -105,20 +91,20 @@ void BM_CompareTx(benchmark::State& state) {
     }
   });
 }
-BENCHMARK(BM_CompareTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_CompareTx)->DenseRange(0, 4);
 
 void BM_IncrementTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(0);
-  run_dispatch_tier(state, name, [&](auto tag) {
+  run_on_core(state, name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       atomically<TxT>([&](TxT& tx) { x.add(tx, 1); });
     }
   });
 }
-BENCHMARK(BM_IncrementTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_IncrementTx)->DenseRange(0, 4);
 
 /// Cost of a writer commit as the read-set grows: NOrec-family validation
 /// is linear in the read-set, TL2-family in the orec read-set.
@@ -129,7 +115,7 @@ void BM_CommitVsReadSetSize(benchmark::State& state) {
   TArray<long> vars(n, 1);
   TVar<long> sink(0);
   for (auto _ : state) {
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       long acc = 0;
       for (std::size_t i = 0; i < n; ++i) acc += vars[i].get(tx);
       sink.set(tx, acc);  // writer: forces commit-time work
@@ -151,7 +137,7 @@ void BM_CompareSetValidation(benchmark::State& state) {
   TArray<long> vars(n, 5);
   TVar<long> sink(0);
   for (auto _ : state) {
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       for (std::size_t i = 0; i < n; ++i) {
         benchmark::DoNotOptimize(vars[i].gt(tx, 0));
       }
@@ -194,10 +180,10 @@ void BM_RealThreadScaling(benchmark::State& state) {
       for (std::uint64_t i = 0; i < kScaleOpsPerThread; ++i) {
         const auto a = static_cast<std::size_t>(rng.below(kScaleCells));
         if (mixed && rng.below(4) == 0) {  // 25% writers
-          atomically([&](Tx& tx) { cells[a].add(tx, 1); });
+          atomically([&](auto& tx) { cells[a].add(tx, 1); });
         } else {
           benchmark::DoNotOptimize(
-              atomically([&](Tx& tx) { return cells[a].get(tx); }));
+              atomically([&](auto& tx) { return cells[a].get(tx); }));
         }
       }
     });
@@ -219,7 +205,7 @@ void BM_WriteSetLookup(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   TArray<long> vars(n, 0);
   for (auto _ : state) {
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       for (std::size_t i = 0; i < n; ++i) vars[i].set(tx, 1);
       long acc = 0;
       for (std::size_t i = 0; i < n; ++i) acc += vars[i].get(tx);  // RAW hits
@@ -315,7 +301,7 @@ void BM_TmirKernelBarriers(benchmark::State& state) {
       // Re-arm the records so reserve's numFree > 0 scan never changes path.
       for (unsigned i = 0; i < kCandidates; ++i) numfree[i].unsafe_set(3);
     }
-    benchmark::DoNotOptimize(atomically([&](Tx& tx) {
+    benchmark::DoNotOptimize(atomically([&](auto& tx) {
       return tmir::execute(tx, f, args.data(), args.size(), iopts);
     }));
   }

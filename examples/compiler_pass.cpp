@@ -54,9 +54,9 @@ int main() {
     const word_t args[6] = {to_word(states[0].word()), to_word(keys[0].word()),
                             kCap - 1, key % kCap, key, kCap};
     const word_t a =
-        atomically([&](Tx& tx) { return execute(tx, raw, args, 6); });
+        atomically([&](auto& tx) { return execute(tx, raw, args, 6); });
     const word_t b =
-        atomically([&](Tx& tx) { return execute(tx, marked, args, 6); });
+        atomically([&](auto& tx) { return execute(tx, marked, args, 6); });
     std::printf("  probe(key=%llu): plain=%llu semantic=%llu %s\n",
                 static_cast<unsigned long long>(key),
                 static_cast<unsigned long long>(a),

@@ -36,13 +36,13 @@ int main(int argc, char** argv) {
     CtxBinder bind(*ctxs[tid]);
     for (std::uint64_t i = 0; i < ops; ++i) {
       if (tid % 2 == 0) {
-        if (atomically([&](Tx& tx) {
+        if (atomically([&](auto& tx) {
               return queue.enqueue(tx, static_cast<std::int64_t>(i));
             })) {
           ++produced;  // single carrier thread: plain counters are fine
         }
       } else {
-        if (atomically([&](Tx& tx) { return queue.dequeue(tx); })) {
+        if (atomically([&](auto& tx) { return queue.dequeue(tx); })) {
           ++consumed;
         }
       }

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   TVar<long> savings(0);
 
   // 4. Classical constructs: read and write.
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     const long value = checking.get(tx);  // TM_READ
     checking.set(tx, value + 25);         // TM_WRITE
   });
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   //    check is TM_GTE — the transaction stays valid as long as the
   //    *outcome* of the comparison holds, even if the balance changes.
   for (int i = 0; i < 3; ++i) {
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       if (checking.gte(tx, 50)) {  // TM_GTE(checking, 50)
         checking.sub(tx, 50);      // TM_DEC(checking, 50)
         savings.add(tx, 50);       // TM_INC(savings, 50)
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   // 6. A transaction can return a value.
   const long total = atomically(
-      [&](Tx& tx) { return checking.get(tx) + savings.get(tx); });
+      [&](auto& tx) { return checking.get(tx) + savings.get(tx); });
   std::printf("total=%ld (conserved)\n", total);
 
   const TxStats& s = ctx.tx->stats;
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   //    and conflict-free here — and empty in non-SEMSTM_TRACE builds — so
   //    this prints the truthful "none recorded" line; run a fig1 bench with
   //    --metrics-out and render it with tm_top for the real thing.
-  const auto hot = obs::top_sites(ctx.tx->conflict_map(), 5);
+  const auto hot = obs::top_sites(ctx.tx->base.conflict_map(), 5);
   std::fputs(obs::render_hot_sites(hot).c_str(), stdout);
   return 0;
 }

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     for (std::size_t id = 0; id < kResources; ++id) {
       records[id].free_slots.unsafe_set(kInitialSlots);
       records[id].price.unsafe_set(rng.between(80, 400));
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         catalogue.insert(tx, static_cast<std::int64_t>(id),
                          static_cast<std::int64_t>(id));
       });
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       if (rng.percent(15)) {  // price-update profile
         const auto id = static_cast<std::int64_t>(rng.below(kResources));
         const std::int64_t np = rng.between(80, 400);
-        atomically([&](Tx& tx) {
+        atomically([&](auto& tx) {
           if (auto rec = catalogue.find(tx, id)) {
             records[static_cast<std::size_t>(*rec)].price.set(tx, np);
           }
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       for (auto& id : ids) {
         id = static_cast<std::int64_t>(rng.below(kResources));
       }
-      const bool ok = atomically([&](Tx& tx) -> bool {
+      const bool ok = atomically([&](auto& tx) -> bool {
         std::int64_t best = -1;
         long max_price = -1;
         for (const std::int64_t id : ids) {

@@ -21,8 +21,7 @@
 // algorithms (contention under CGL is queueing on the one lock, which the
 // windowed metrics expose as throughput, not as conflict sites).
 //
-// CglCore is a sealed non-virtual descriptor (DESIGN.md §4.12); the
-// type-erased tier is TxFacade<CglCore>.
+// CglCore is a sealed non-virtual descriptor (DESIGN.md §4.12).
 #pragma once
 
 #include <atomic>
@@ -40,7 +39,6 @@ class CglAlgorithm final : public Algorithm {
  public:
   const char* name() const noexcept override { return "cgl"; }
   bool semantic() const noexcept override { return false; }
-  std::unique_ptr<Tx> make_tx() override;
 
   // Not noexcept: the spin is a yield point, and under a truncating
   // ScheduleController yield points raise ScheduleStopped. The wait is
@@ -72,7 +70,6 @@ class CglCore final : public TxCoreBase {
 
   static constexpr AlgoId kId = AlgoId::kCgl;
   static constexpr const char* kName = "cgl";
-  const char* algorithm() const noexcept { return kName; }
 
   void begin() {
     // Gate first, lock second: a thread blocked on the serial-irrevocable
@@ -137,9 +134,5 @@ class CglCore final : public TxCoreBase {
   WriteSet writes_;
   bool holding_ = false;
 };
-
-inline std::unique_ptr<Tx> CglAlgorithm::make_tx() {
-  return std::make_unique<TxFacade<CglCore>>(*this);
-}
 
 }  // namespace semstm

@@ -7,15 +7,12 @@
 // NOrec treats them conservatively, exactly like the unmodified algorithm
 // in libitm.
 //
-// Two-tier layout (DESIGN.md §4.12): NorecCoreT is the CRTP descriptor
-// logic — non-virtual, statically dispatched — shared with S-NOrec, which
+// Layout (DESIGN.md §4.12): NorecCoreT is the CRTP descriptor logic —
+// non-virtual, statically dispatched — shared with S-NOrec, which
 // customizes only the read-after-write hook (`raw`) and the semantic ops
 // by *shadowing*, never overriding. NorecCore is the sealed plain-NOrec
-// instantiation; the virtual NorecTx of old survives as
-// TxFacade<NorecCore>.
+// instantiation.
 #pragma once
-
-#include <memory>
 
 #include "core/algorithm.hpp"
 #include "core/tx.hpp"
@@ -32,7 +29,6 @@ class NorecAlgorithm : public Algorithm {
  public:
   const char* name() const noexcept override { return "norec"; }
   bool semantic() const noexcept override { return false; }
-  std::unique_ptr<Tx> make_tx() override;
 
   SeqLock& lock() noexcept { return lock_; }
 
@@ -144,9 +140,9 @@ class NorecCoreT : public TxCoreBase {
   /// sites by address region (obs/conflict_map.hpp), never by orec, and
   /// NOrec-family hot sites carry no aborter->owner edges by construction.
   ///
-  /// Out of line: read_valid() inlines into every read in the monomorphized
-  /// tier, and this slow path (taken only when a writer committed since the
-  /// snapshot) would drag its nested loops into each read site.
+  /// Out of line: read_valid() inlines into every read site, and this slow
+  /// path (taken only when a writer committed since the snapshot) would
+  /// drag its nested loops into each of them.
   [[gnu::noinline]] std::uint64_t validate() {
     obs::ScopedLatency lat(stats.lat_validate);
     for (;;) {
@@ -187,7 +183,6 @@ class NorecCore final : public NorecCoreT<NorecCore> {
 
   static constexpr AlgoId kId = AlgoId::kNorec;
   static constexpr const char* kName = "norec";
-  const char* algorithm() const noexcept { return kName; }
 
   bool cmp(const tword* addr, Rel rel, word_t operand) {
     return generic_cmp(*this, addr, rel, operand);
@@ -200,9 +195,5 @@ class NorecCore final : public NorecCoreT<NorecCore> {
   }
   void inc(tword* addr, word_t delta) { generic_inc(*this, addr, delta); }
 };
-
-inline std::unique_ptr<Tx> NorecAlgorithm::make_tx() {
-  return std::make_unique<TxFacade<NorecCore>>(*this);
-}
 
 }  // namespace semstm

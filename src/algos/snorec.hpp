@@ -33,7 +33,6 @@ class SnorecAlgorithm final : public NorecAlgorithm {
  public:
   const char* name() const noexcept override { return "snorec"; }
   bool semantic() const noexcept override { return true; }
-  std::unique_ptr<Tx> make_tx() override;
 };
 
 class SnorecCore final : public NorecCoreT<SnorecCore> {
@@ -42,7 +41,6 @@ class SnorecCore final : public NorecCoreT<SnorecCore> {
 
   static constexpr AlgoId kId = AlgoId::kSnorec;
   static constexpr const char* kName = "snorec";
-  const char* algorithm() const noexcept { return kName; }
 
   /// Alg. 6 Compare (lines 29-36).
   bool cmp(const tword* addr, Rel rel, word_t operand) {
@@ -137,9 +135,5 @@ class SnorecCore final : public NorecCoreT<SnorecCore> {
     return e->value;
   }
 };
-
-inline std::unique_ptr<Tx> SnorecAlgorithm::make_tx() {
-  return std::make_unique<TxFacade<SnorecCore>>(*this);
-}
 
 }  // namespace semstm

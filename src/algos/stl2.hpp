@@ -37,7 +37,6 @@ class Stl2Algorithm final : public Tl2Algorithm {
   explicit Stl2Algorithm(const AlgoOptions& opts = {}) : Tl2Algorithm(opts) {}
   const char* name() const noexcept override { return "stl2"; }
   bool semantic() const noexcept override { return true; }
-  std::unique_ptr<Tx> make_tx() override;
 };
 
 class Stl2Core final : public Tl2CoreT<Stl2Core> {
@@ -46,7 +45,6 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
 
   static constexpr AlgoId kId = AlgoId::kStl2;
   static constexpr const char* kName = "stl2";
-  const char* algorithm() const noexcept { return kName; }
 
   void begin() {
     compares_.clear();
@@ -321,9 +319,5 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   CompareSet compares_;
   bool phase1_pending_extend_ = false;
 };
-
-inline std::unique_ptr<Tx> Stl2Algorithm::make_tx() {
-  return std::make_unique<TxFacade<Stl2Core>>(*this);
-}
 
 }  // namespace semstm

@@ -4,17 +4,15 @@
 // This is the paper's version-based baseline. As in the paper, semantic
 // operations delegate to plain reads/writes (generic_* delegations).
 //
-// Two-tier layout (DESIGN.md §4.12): Tl2CoreT holds the CRTP descriptor
-// logic shared with S-TL2 — non-virtual, statically dispatched; the
+// Layout (DESIGN.md §4.12): Tl2CoreT holds the CRTP descriptor logic
+// shared with S-TL2 — non-virtual, statically dispatched; the
 // read-after-write hook raw() is shadowed, not overridden. Tl2Core is the
-// sealed plain-TL2 instantiation; the type-erased tier is
-// TxFacade<Tl2Core>.
+// sealed plain-TL2 instantiation.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -34,7 +32,6 @@ class Tl2Algorithm : public Algorithm {
 
   const char* name() const noexcept override { return "tl2"; }
   bool semantic() const noexcept override { return false; }
-  std::unique_ptr<Tx> make_tx() override;
 
   VersionClock& clock() noexcept { return clock_; }
   OrecTable& orecs() noexcept { return orecs_; }
@@ -288,7 +285,6 @@ class Tl2Core final : public Tl2CoreT<Tl2Core> {
 
   static constexpr AlgoId kId = AlgoId::kTl2;
   static constexpr const char* kName = "tl2";
-  const char* algorithm() const noexcept { return kName; }
 
   bool cmp(const tword* addr, Rel rel, word_t operand) {
     return generic_cmp(*this, addr, rel, operand);
@@ -301,9 +297,5 @@ class Tl2Core final : public Tl2CoreT<Tl2Core> {
   }
   void inc(tword* addr, word_t delta) { generic_inc(*this, addr, delta); }
 };
-
-inline std::unique_ptr<Tx> Tl2Algorithm::make_tx() {
-  return std::make_unique<TxFacade<Tl2Core>>(*this);
-}
 
 }  // namespace semstm

@@ -121,7 +121,7 @@ class TOpenHashTable {
   ///
   /// Semantic build: per probed cell, the continuation predicate
   /// `state == REMOVED || key != value` is ONE composed semantic read
-  /// (Tx::cmp_or) — this is what lets a prober survive the cell being
+  /// (cmp_or) — this is what lets a prober survive the cell being
   /// removed, or recycled for a different key, in between: the clause
   /// outcome is preserved even though both stored values changed.
   template <typename TxT>

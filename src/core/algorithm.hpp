@@ -5,7 +5,6 @@
 // instantiates it once and calls make_tx() per worker thread.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,11 +26,6 @@ struct AlgoOptions {
   static constexpr unsigned kOrecLog2Max = 28;
 };
 
-/// The closed set of registered algorithms, in canonical benchmark order.
-/// This is the key the static-dispatch tier switches over: AlgoId → one
-/// concrete descriptor core type (see core/dispatch.hpp).
-enum class AlgoId : std::uint8_t { kCgl, kNorec, kSnorec, kTl2, kStl2 };
-
 /// Resolve an algorithm name ("cgl", "norec", "snorec", "tl2", "stl2") to
 /// its AlgoId. Throws std::invalid_argument for unknown names.
 AlgoId algo_id(std::string_view name);
@@ -42,7 +36,9 @@ class Algorithm {
   virtual const char* name() const noexcept = 0;
   /// True for algorithms that handle cmp/inc semantically (S-NOrec, S-TL2).
   virtual bool semantic() const noexcept = 0;
-  virtual std::unique_ptr<Tx> make_tx() = 0;
+  /// A fresh descriptor of this algorithm's core type (the one
+  /// dispatch_algorithm() names for algo_id(name())).
+  std::unique_ptr<Tx> make_tx();
 
   /// The serial-irrevocable gate every descriptor of this TM instance
   /// honours at begin()/commit() (see runtime/serial_gate.hpp).

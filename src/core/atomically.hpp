@@ -12,18 +12,22 @@
 // means no shared state was touched); they are counted as `exceptions`,
 // not aborts — see the accounting contract in core/stats.hpp.
 //
-// Observability: this loop is where abort causes recorded by Tx::abort_tx()
+// atomically<Core>(body) runs the loop on the bound descriptor at its
+// concrete core type; atomically(body) with a generic body (`auto& tx`)
+// picks that type from the bound context's AlgoId through
+// dispatch_algorithm(), once per transaction (DESIGN.md §4.12).
+//
+// Observability: this loop is where abort causes recorded by abort_tx()
 // are folded into TxStats::abort_causes, and — in SEMSTM_TRACE builds —
 // where attempt latency, backoff waits and serial-token hold times are
 // measured and begin/commit/abort/fallback events are pushed into the
 // descriptor's trace ring (src/obs).
 #pragma once
 
-#include <cstring>
 #include <type_traits>
-#include <utility>
 
 #include "core/context.hpp"
+#include "core/dispatch.hpp"
 #include "core/tx.hpp"
 #include "obs/clock.hpp"
 #include "sched/yieldpoint.hpp"
@@ -33,9 +37,8 @@ namespace semstm {
 namespace detail {
 
 /// Retry-loop bookkeeping shared by the void and value-returning paths.
-/// Templated on the descriptor type: with TxT = Tx every tx.* call below is
-/// virtual (the type-erased tier); with a concrete core (NorecCore, ...)
-/// they all bind statically and inline (DESIGN.md §4.12).
+/// Templated on the concrete descriptor type (NorecCore, ...), so every
+/// tx.* call below binds statically and inlines (DESIGN.md §4.12).
 template <typename TxT>
 struct AttemptLoop {
   TxT& tx;
@@ -92,8 +95,8 @@ struct AttemptLoop {
 
   // The abort and exception unwinders stay out of line (cold): they are
   // reached only through the catch handlers, and inlining them — twice per
-  // atomically() instantiation in the monomorphized tier — costs hot-loop
-  // code footprint while saving nothing on a path that just unwound.
+  // atomically() instantiation — costs hot-loop code footprint while
+  // saving nothing on a path that just unwound.
   [[gnu::cold, gnu::noinline]] void on_abort() {
     tx.rollback();
     ++tx.stats.aborts;
@@ -152,29 +155,20 @@ struct AttemptLoop {
   }
 };
 
-/// Recover the bound descriptor at the requested static type. TxT = Tx
-/// yields the type-erased facade; a concrete core type downcasts the cached
-/// core pointer — valid only when the bound algorithm actually produced
-/// that core, which debug builds verify against the cached algorithm name.
+/// Recover the bound descriptor at the requested static type: a downcast
+/// of the cached core pointer, valid only when the bound algorithm
+/// produced that type — checked in every build.
 template <typename TxT>
 TxT& bound_tx(ThreadCtx& ctx) {
-  if constexpr (std::is_same_v<TxT, Tx>) {
-    return *ctx.tx;
-  } else {
-    assert(ctx.core != nullptr && ctx.algo != nullptr &&
-           std::strcmp(ctx.algo, TxT::kName) == 0 &&
-           "atomically<TxT>: bound descriptor is not of type TxT");
-    return *static_cast<TxT*>(ctx.core);
-  }
+  if (ctx.algo != TxT::kId) die_wrong_core(TxT::kId, ctx.algo);
+  return *static_cast<TxT*>(ctx.core);
 }
 
 }  // namespace detail
 
-/// TM_BEGIN/TM_END. The default instantiation (atomically(body) with a
-/// body taking Tx&) drives the descriptor through its virtual interface;
-/// atomically<Core>(body) binds every per-access call statically — the
-/// monomorphic fast path reached via dispatch_algorithm().
-template <typename TxT = Tx, typename F>
+/// TM_BEGIN/TM_END on the bound descriptor, typed as the core TxT (or a
+/// wrapper with the same kId). Every per-access call binds statically.
+template <typename TxT, typename F>
 decltype(auto) atomically(F&& body) {
   ThreadCtx* ctx = tls_ctx();
   if (ctx == nullptr || ctx->tx == nullptr) die_no_ctx("atomically()");
@@ -205,6 +199,17 @@ decltype(auto) atomically(F&& body) {
       throw;
     }
   }
+}
+
+/// TM_BEGIN/TM_END for a generic body (`[&](auto& tx) {...}`): runs
+/// atomically<Core>(body) for the core of the bound context's algorithm.
+template <typename F>
+decltype(auto) atomically(F&& body) {
+  ThreadCtx* ctx = tls_ctx();
+  if (ctx == nullptr || ctx->tx == nullptr) die_no_ctx("atomically()");
+  return dispatch_algorithm(ctx->algo, [&](auto tag) -> decltype(auto) {
+    return atomically<typename decltype(tag)::tx_type>(body);
+  });
 }
 
 }  // namespace semstm

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,13 +36,12 @@ inline std::uint64_t default_ctx_seed() noexcept {
 struct ThreadCtx {
   std::unique_ptr<Tx> tx;
   std::unique_ptr<ContentionManager> cm;
-  /// Concrete descriptor core behind `tx` (Tx::core_ptr()), cached so the
-  /// monomorphic path (atomically<TxT>) can recover the statically-typed
-  /// descriptor without a virtual call per transaction.
+  /// The descriptor atomically<TxT>() casts to TxT: tx->core, unless a
+  /// caller re-points it at a wrapper of the same algorithm's core.
   void* core = nullptr;
-  /// Algorithm name of the bound descriptor; lets debug builds verify that
-  /// a static downcast of `core` matches the algorithm actually bound.
-  const char* algo = nullptr;
+  /// The algorithm of the bound descriptor. atomically<TxT>() checks it
+  /// against TxT::kId in every build before casting `core`.
+  AlgoId algo{};
 
   /// Default construction: randomized-exponential-backoff policy with a
   /// unique per-context seed (see default_ctx_seed()).
@@ -58,8 +56,8 @@ struct ThreadCtx {
       : tx(std::move(t)),
         cm(manager ? std::move(manager) : std::make_unique<BackoffCm>(seed)) {
     if (tx) {
-      core = tx->core_ptr();
-      algo = tx->algorithm();
+      core = tx->core;
+      algo = tx->algo;
     }
   }
 };
@@ -94,10 +92,17 @@ class CtxBinder {
   std::abort();
 }
 
-inline Tx& current_tx() noexcept {
-  ThreadCtx* c = tls_ctx();
-  if (c == nullptr || c->tx == nullptr) die_no_ctx("current_tx()");
-  return *c->tx;
+/// Diagnose-and-die for atomically<TxT>() on a thread whose descriptor is
+/// of another algorithm: casting it to TxT would silently reinterpret one
+/// core as another.
+[[noreturn]] inline void die_wrong_core(AlgoId requested,
+                                        AlgoId bound) noexcept {
+  std::fprintf(stderr,
+               "semstm: atomically<%s>() called on a thread bound to a %s "
+               "descriptor (instantiate atomically with the bound "
+               "algorithm's core, or call the untemplated atomically())\n",
+               algo_name(requested), algo_name(bound));
+  std::abort();
 }
 
 }  // namespace semstm

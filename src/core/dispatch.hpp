@@ -1,12 +1,12 @@
-// The static-dispatch tier's entry point (DESIGN.md §4.12).
+// The single point of type erasure (DESIGN.md §4.12).
 //
 // dispatch_algorithm(id, visitor) switches once over the closed AlgoId set
 // and invokes a generic visitor with a tag carrying the concrete types —
-// the algorithm class and, crucially, the sealed descriptor core. Inside
-// the visitor every read/write/cmp/inc is a non-virtual call the compiler
-// can inline into the surrounding code (the write-set Bloom filter,
-// read-set dedup and orec cache fold into workload loops), while outside
-// the visitor the world keeps talking to the type-erased Tx facade.
+// the algorithm class and the sealed descriptor core. Inside the visitor
+// every read/write/cmp/inc is a non-virtual call the compiler can inline
+// into the surrounding code (the write-set Bloom filter, read-set dedup
+// and orec cache fold into workload loops). The untemplated atomically(),
+// MonoWorkload::run_ops() and Algorithm::make_tx() all go through here.
 //
 //   dispatch_algorithm(algo_id(name), [&](auto tag) {
 //     using TxT = typename decltype(tag)::tx_type;
@@ -33,12 +33,6 @@ struct AlgoTag {
   using algorithm_type = AlgoT;
   using tx_type = CoreT;
   static constexpr AlgoId id = CoreT::kId;
-};
-
-/// Tag standing in for the type-erased tier, so call sites sweeping over
-/// {virtual, static} dispatch can treat both uniformly (bench/micro_ops).
-struct VirtualTag {
-  using tx_type = Tx;
 };
 
 /// Monomorphize over the algorithm named by `id`: invokes `visitor` with

@@ -1,11 +1,28 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "core/algorithm.hpp"
 #include "core/dispatch.hpp"
 
 namespace semstm {
+
+namespace {
+
+/// The Tx handle for a `Core`. The core lives in its own allocation so it
+/// is fully constructed before the handle binds its pointer and references.
+template <typename Core>
+class CoreTx final : public Tx {
+ public:
+  explicit CoreTx(std::unique_ptr<Core> core)
+      : Tx(Core::kId, core.get(), *core), core_(std::move(core)) {}
+
+ private:
+  std::unique_ptr<Core> core_;
+};
+
+}  // namespace
 
 AlgoId algo_id(std::string_view name) {
   if (name == "cgl") return AlgoId::kCgl;
@@ -38,6 +55,16 @@ std::unique_ptr<Algorithm> make_algorithm(std::string_view name,
         } else {
           return std::make_unique<AlgoT>();
         }
+      });
+}
+
+std::unique_ptr<Tx> Algorithm::make_tx() {
+  return dispatch_algorithm(
+      algo_id(name()), [&](auto tag) -> std::unique_ptr<Tx> {
+        using AlgoT = typename decltype(tag)::algorithm_type;
+        using Core = typename decltype(tag)::tx_type;
+        return std::make_unique<CoreTx<Core>>(
+            std::make_unique<Core>(static_cast<AlgoT&>(*this)));
       });
 }
 

@@ -18,17 +18,17 @@ namespace semstm {
 //
 //   starts == commits + aborts + exceptions
 //   aborts == sum(abort_causes)           (every TxAbort is thrown through
-//                                          Tx::abort_tx(cause, addr); an
-//                                          untagged throw — only possible
-//                                          from test doubles driving Tx
-//                                          methods directly — lands in the
-//                                          kUnknown bucket)
+//                                          TxCoreBase::abort_tx(cause,
+//                                          addr); an untagged throw — only
+//                                          possible from test doubles
+//                                          driving cores directly — lands
+//                                          in the kUnknown bucket)
 //
 // A *user* exception that escapes the transaction body rolls the attempt
 // back but is counted as `exceptions`, NOT as an abort: the transaction is
 // abandoned rather than retried, so folding it into `aborts` would skew
 // abort_pct() — the very series Figures 1–2 plot — with events that are not
-// contention. An explicit Tx::user_abort() IS an abort (cause kUserAbort):
+// contention. An explicit user_abort() IS an abort (cause kUserAbort):
 // the attempt is retried. `retries` counts loop-backs after an abort (the
 // attempt that follows each abort), `fallbacks` counts escalations to the
 // serial-irrevocable token, and `max_consec_aborts` is the high-water mark

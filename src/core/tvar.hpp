@@ -8,10 +8,9 @@
 // `unsafe_*` accessors bypass the TM for single-threaded setup/verification.
 //
 // Every accessor is a member template over the descriptor type: passed a
-// Tx& it dispatches virtually (type-erased tier), passed a concrete core
-// (NorecCore&, ...) the tx.read/tx.cmp/... calls bind statically and
-// inline into the caller (DESIGN.md §4.12). Call sites are unchanged —
-// the descriptor argument deduces TxT.
+// concrete core (NorecCore&, ...), the tx.read/tx.cmp/... calls bind
+// statically and inline into the caller (DESIGN.md §4.12). The descriptor
+// argument deduces TxT, so a generic body (`auto& tx`) needs no spelling.
 #pragma once
 
 #include <type_traits>
@@ -146,13 +145,13 @@ class TVar {
   mutable tword word_;
 };
 
-/// Build a clause term `var REL value` for Tx::cmp_or.
+/// Build a clause term `var REL value` for cmp_or.
 template <WordRepresentable T>
 CmpTerm term(const TVar<T>& var, Rel rel, T value) noexcept {
   return CmpTerm{var.word(), nullptr, to_word(value), rel};
 }
 
-/// Build a clause term `a REL b` (address–address) for Tx::cmp_or.
+/// Build a clause term `a REL b` (address–address) for cmp_or.
 template <WordRepresentable T>
 CmpTerm term(const TVar<T>& a, Rel rel, const TVar<T>& b) noexcept {
   return CmpTerm{a.word(), b.word(), 0, rel};

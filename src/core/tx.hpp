@@ -1,17 +1,16 @@
-// The transaction descriptor, split in two tiers (DESIGN.md §4.12):
+// The transaction descriptor (DESIGN.md §4.12):
 //
 //  - TxCoreBase: the non-virtual facility base every concrete descriptor
 //    core derives from — stats, serial-gate protocol, abort attribution,
 //    trace hooks. Cores (src/algos/*.hpp) are `final` classes with NO
-//    virtual functions; the whole begin→access→commit chain is statically
-//    dispatched and inlinable when the caller names the core type.
+//    virtual functions: every caller names the core type, so the whole
+//    begin→access→commit chain is statically dispatched and inlinable.
 //
-//  - Tx: the type-erased compatibility facade. It carries the classical +
-//    semantic API (the paper's extended TM interface, Table 1 / §4) as
-//    virtual methods and forwards everything to a bound core. Tests,
-//    examples and heterogeneous call sites keep programming against Tx&;
-//    hot paths go through dispatch_algorithm() (core/dispatch.hpp) and a
-//    concrete core instead.
+//  - Tx: the owning handle Algorithm::make_tx() returns and ThreadCtx
+//    keeps. It names the core's type (AlgoId) and points at it, but has no
+//    transactional API of its own: code reaches the core at its concrete
+//    type through dispatch_algorithm() (core/dispatch.hpp), the single
+//    place where a runtime algorithm choice becomes a type.
 //
 // Classical constructs:    read, write            (TM_READ / TM_WRITE)
 // Semantic constructs:     cmp, cmp2, inc         (Table 1 / §4)
@@ -31,8 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 
 #include "core/semantics.hpp"
 #include "core/stats.hpp"
@@ -46,6 +43,17 @@
 
 namespace semstm {
 
+/// The closed set of registered algorithms, in canonical benchmark order.
+/// dispatch_algorithm() switches over it: AlgoId → one concrete descriptor
+/// core type (each core's kId).
+enum class AlgoId : std::uint8_t { kCgl, kNorec, kSnorec, kTl2, kStl2 };
+
+/// The registered name of `id`; the inverse of algo_id() (core/algorithm.hpp).
+constexpr const char* algo_name(AlgoId id) noexcept {
+  constexpr const char* kNames[] = {"cgl", "norec", "snorec", "tl2", "stl2"};
+  return kNames[static_cast<unsigned>(id)];
+}
+
 /// Thrown by an algorithm to roll back the current transaction attempt.
 /// Caught exclusively by atomically(); user code never sees it. Always
 /// thrown through TxCoreBase::abort_tx(cause, addr), which records the
@@ -56,8 +64,7 @@ struct TxAbort {};
 /// core object's address is the transaction's identity everywhere identity
 /// matters (serial-gate ownership, orec ownership): tx_id() below is what
 /// atomically() hands to SerialGate::acquire, and what gate_enter()'s
-/// held_by() check compares against — one pointer, no facade/core
-/// ambiguity.
+/// held_by() check compares against.
 class TxCoreBase {
  public:
   TxCoreBase() = default;
@@ -108,8 +115,8 @@ class TxCoreBase {
   obs::ConflictMap& conflict_map() noexcept { return conflicts_; }
 
  protected:
-  // Destroyed only as a concrete core (by TxFacade or by value); never
-  // deleted through a TxCoreBase*, hence no virtual destructor.
+  // Destroyed only as a concrete core (owned by a Tx handle or by value);
+  // never deleted through a TxCoreBase*, hence no virtual destructor.
   ~TxCoreBase() = default;
 
   /// Abort the current attempt, recording *why* and (when known) the
@@ -128,9 +135,10 @@ class TxCoreBase {
   /// hints are dropped — a transaction is never its own victim).
   ///
   /// Kept out of line (cold): every per-access fast path carries several
-  /// abort sites, and in the monomorphized tier (DESIGN.md §4.12) they
-  /// would otherwise all inline into the transaction loop, bloating the
-  /// hot code footprint for a path only taken on conflicts.
+  /// abort sites, and with the core type known at every call site
+  /// (DESIGN.md §4.12) they would otherwise all inline into the transaction
+  /// loop, bloating the hot code footprint for a path only taken on
+  /// conflicts.
   [[noreturn, gnu::cold, gnu::noinline]] void abort_tx(
       obs::AbortCause cause, const void* addr = nullptr,
       std::uint32_t orec = obs::kNoOrec, const void* owner = nullptr) {
@@ -242,14 +250,12 @@ void generic_inc(TxT& tx, tword* addr, word_t delta) {
   tx.write(addr, tx.read(addr) + delta);
 }
 
-// -- The type-erased facade --------------------------------------------------
+// -- The owning handle ------------------------------------------------------
 
-/// The abstract transaction, kept as the compatibility face of the
-/// two-tier dispatch design: registry code, tests and examples program
-/// against Tx&, while hot paths use the concrete core directly. Every
-/// non-virtual facility (stats, gate, abort attribution, tracing) forwards
-/// to the bound core so a descriptor driven through either tier observes
-/// one shared state.
+/// One thread's descriptor as Algorithm::make_tx() hands it out: owns the
+/// concrete core (the virtual destructor is the only virtual call), names
+/// its type and exposes its shared facilities. atomically() reaches the
+/// core itself through ThreadCtx, at the type `algo` names.
 class Tx {
  public:
   virtual ~Tx() = default;
@@ -257,103 +263,14 @@ class Tx {
   Tx(const Tx&) = delete;
   Tx& operator=(const Tx&) = delete;
 
-  virtual const char* algorithm() const noexcept = 0;
-
-  // -- Lifecycle (driven by atomically()) ---------------------------------
-
-  /// Start (or restart) a transaction attempt.
-  virtual void begin() = 0;
-
-  /// Attempt to commit; throws TxAbort on validation failure.
-  virtual void commit() = 0;
-
-  /// Roll back local metadata after an abort (read/write sets etc.).
-  virtual void rollback() = 0;
-
-  // -- Classical constructs ------------------------------------------------
-
-  virtual word_t read(const tword* addr) = 0;
-  virtual void write(tword* addr, word_t value) = 0;
-
-  // -- Semantic constructs (see the generic_* delegations for the
-  //    non-semantic lowering the plain algorithms use) ---------------------
-
-  virtual bool cmp(const tword* addr, Rel rel, word_t operand) = 0;
-  virtual bool cmp2(const tword* a, Rel rel, const tword* b) = 0;
-  virtual bool cmp_or(const CmpTerm* terms, std::size_t n) = 0;
-  virtual void inc(tword* addr, word_t delta) = 0;
-
-  /// The concrete core behind this facade, for callers that monomorphize
-  /// (ThreadCtx caches it; atomically<Core>() casts it back). Typed access
-  /// goes through dispatch_algorithm() — the AlgoId names the core type.
-  virtual void* core_ptr() noexcept = 0;
-
-  /// Bound to the core's stats: both dispatch tiers count into one block.
-  TxStats& stats;
-
-  // Non-virtual forwards to the shared core facilities (same contracts as
-  // the TxCoreBase originals).
-  SerialGate* serial_gate() const noexcept { return core_.serial_gate(); }
-  const void* tx_id() const noexcept { return core_.tx_id(); }
-  const obs::AbortInfo& last_abort() const noexcept {
-    return core_.last_abort();
-  }
-  void clear_last_abort() noexcept { core_.clear_last_abort(); }
-  [[noreturn]] void user_abort() { core_.user_abort(); }
-  void bind_trace(obs::TraceRing* ring) noexcept { core_.bind_trace(ring); }
-  obs::TraceRing* trace_ring() const noexcept { return core_.trace_ring(); }
-  void bind_metrics(obs::WindowSeries* series) noexcept {
-    core_.bind_metrics(series);
-  }
-  obs::WindowSeries* metrics_series() const noexcept {
-    return core_.metrics_series();
-  }
-  const obs::ConflictMap& conflict_map() const noexcept {
-    return core_.conflict_map();
-  }
-  TxCoreBase& core_base() noexcept { return core_; }
+  const AlgoId algo;   ///< names the concrete type of *core
+  void* const core;    ///< the owned core, as that concrete type
+  TxCoreBase& base;    ///< the same core, as its non-virtual facilities
+  TxStats& stats;      ///< base.stats: the core's own block
 
  protected:
-  explicit Tx(TxCoreBase& core) : stats(core.stats), core_(core) {}
-
- private:
-  TxCoreBase& core_;
-};
-
-/// The thin forwarding shim gluing a monomorphic core to the type-erased
-/// Tx interface — one instantiation per algorithm, created by
-/// Algorithm::make_tx(). Owns the core by value; the base-class reference
-/// binds to the member before its construction, which is fine (the
-/// reference is only bound, never used, until the core exists).
-template <typename Core>
-class TxFacade final : public Tx {
- public:
-  template <typename... Args>
-  explicit TxFacade(Args&&... args)
-      : Tx(core_), core_(std::forward<Args>(args)...) {}
-
-  Core& core() noexcept { return core_; }
-
-  const char* algorithm() const noexcept override { return core_.algorithm(); }
-  void* core_ptr() noexcept override { return &core_; }
-  void begin() override { core_.begin(); }
-  void commit() override { core_.commit(); }
-  void rollback() override { core_.rollback(); }
-  word_t read(const tword* addr) override { return core_.read(addr); }
-  void write(tword* addr, word_t value) override { core_.write(addr, value); }
-  bool cmp(const tword* addr, Rel rel, word_t operand) override {
-    return core_.cmp(addr, rel, operand);
-  }
-  bool cmp2(const tword* a, Rel rel, const tword* b) override {
-    return core_.cmp2(a, rel, b);
-  }
-  bool cmp_or(const CmpTerm* terms, std::size_t n) override {
-    return core_.cmp_or(terms, n);
-  }
-  void inc(tword* addr, word_t delta) override { core_.inc(addr, delta); }
-
- private:
-  Core core_;
+  Tx(AlgoId id, void* concrete, TxCoreBase& facilities) noexcept
+      : algo(id), core(concrete), base(facilities), stats(facilities.stats) {}
 };
 
 }  // namespace semstm

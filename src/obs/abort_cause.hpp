@@ -26,7 +26,7 @@ enum class AbortCause : std::uint8_t {
   kSerialGatePreempt,   ///< conflict observed while a serial-irrevocable
                         ///< transaction was pending or running (the abort
                         ///< clears the way for the token holder)
-  kUserAbort,           ///< explicit Tx::user_abort()
+  kUserAbort,           ///< explicit TxCoreBase::user_abort()
   kCount_,              ///< sentinel, not a cause
 };
 

@@ -1,7 +1,7 @@
 // Lock-free per-thread event tracing: a fixed-capacity single-producer /
 // single-consumer ring of TraceEvents.
 //
-// Producer = the logical thread running transactions (its Tx records at
+// Producer = the logical thread running transactions (its descriptor records at
 // begin/commit/abort/fallback and at semantic-operation hooks); consumer =
 // the TraceExporter draining rings after (or during) a run. The classic
 // SPSC discipline makes every operation wait-free: the producer owns

@@ -26,8 +26,7 @@
 namespace semstm {
 
 // Owners are opaque identities (TxCoreBase::tx_id()): the orec never calls
-// through them, it only compares pointers, so the type-erased facade and
-// the monomorphized core present one identity without a common base here.
+// through them, it only compares pointers, so it needs no descriptor type.
 struct Orec {
   std::atomic<std::uint64_t> version{0};
   std::atomic<const void*> owner{nullptr};

@@ -1,8 +1,8 @@
 // SerialGate: the global serial-irrevocable token (GCC libitm's `serialirr`
 // idea), the escalation target of the bounded-retry contention manager.
 //
-// Protocol (honoured by every algorithm at begin()/commit(), see Tx's
-// gate_enter()/gate_exit() helpers):
+// Protocol (honoured by every algorithm at begin()/commit(), see
+// TxCoreBase's gate_enter()/gate_exit() helpers):
 //
 //   - A normal transaction *enters* the gate before doing any transactional
 //     work and *exits* it when the attempt ends (commit or rollback). While
@@ -33,11 +33,11 @@
 // OS yields instead of burning a core).
 //
 // Observability (src/obs): a conflict abort taken while another transaction
-// holds (or is draining into) the token is reclassified by Tx::abort_tx()
-// as kSerialGatePreempt — the root cause is the quiescing serial
-// transaction, not ordinary contention — and in SEMSTM_TRACE builds
-// atomically() times each acquire -> release span into TxStats::lat_gate
-// and emits a kSerialHold trace event.
+// holds (or is draining into) the token is reclassified by
+// TxCoreBase::abort_tx() as kSerialGatePreempt — the root cause is the
+// quiescing serial transaction, not ordinary contention — and in
+// SEMSTM_TRACE builds atomically() times each acquire -> release span into
+// TxStats::lat_gate and emits a kSerialHold trace event.
 #pragma once
 
 #include <atomic>

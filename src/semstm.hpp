@@ -10,9 +10,9 @@
 //   semstm::CtxBinder bind(ctx);
 //   semstm::TVar<long> balance(100);
 //
-//   semstm::atomically([&](semstm::Tx& tx) {
-//     if (balance.gte(tx, 25))      // TM_GTE — semantic conditional
-//       balance.sub(tx, 25);        // TM_DEC — deferred decrement
+//   semstm::atomically([&](auto& tx) {  // tx: the bound algorithm's core
+//     if (balance.gte(tx, 25))           // TM_GTE — semantic conditional
+//       balance.sub(tx, 25);             // TM_DEC — deferred decrement
 //   });
 #pragma once
 

@@ -9,10 +9,9 @@
 // local-slot accesses also go through TM barriers, which is what makes
 // the GCC curves of Figure 2 sit below the RSTM curves of Figure 1.
 //
-// execute() is templated on the descriptor type (DESIGN.md §4.12): with
-// TxT = Tx every barrier is a virtual call (the pre-built instantiation in
-// interp.cpp — the default for existing callers); with a concrete core
-// the whole interpreter loop monomorphizes and the barriers inline.
+// execute() is templated on the concrete descriptor core (DESIGN.md §4.12):
+// the interpreter loop monomorphizes, and each barrier is one direct call
+// into the core (tmir/abi.hpp).
 #pragma once
 
 #include <cstddef>
@@ -77,7 +76,7 @@ struct InterpOptions {
 
 /// Execute `f` under transaction `tx`. Returns the kRet operand (0 if the
 /// function returns nothing). Throws std::runtime_error on malformed IR.
-template <typename TxT = Tx>
+template <typename TxT>
 word_t execute(TxT& tx, const Function& f, const word_t* args,
                std::size_t nargs, const InterpOptions& opts = {}) {
   if (nargs != f.num_args) {
@@ -115,13 +114,16 @@ word_t execute(TxT& tx, const Function& f, const word_t* args,
         throw std::runtime_error("tmir: step limit exceeded in " + f.name);
       }
       sched::tick(sched::Cost::kWork);  // interpretation overhead
-      auto t = [&](std::int32_t id) -> word_t& {
+      // Forced inline: in a translation unit with many transaction bodies
+      // GCC's growth limits otherwise leave these operand accessors as
+      // calls on every instruction (about 1.4x slower tmir kernels).
+      auto t = [&](std::int32_t id) __attribute__((always_inline)) -> word_t& {
         if (id < 0 || static_cast<std::uint32_t>(id) >= f.num_temps) {
           die_malformed(f.name.c_str(), "temp", id, f.num_temps);
         }
         return temps[static_cast<std::size_t>(id)];
       };
-      auto slot = [&](word_t s) -> std::size_t {
+      auto slot = [&](word_t s) __attribute__((always_inline)) -> std::size_t {
         if (s >= f.num_locals) {
           die_malformed(f.name.c_str(), "local slot",
                         static_cast<long long>(s), f.num_locals);
@@ -219,10 +221,5 @@ word_t execute(TxT& tx, const Function& f, const word_t* args,
     }
   }
 }
-
-/// The type-erased instantiation is pre-built in interp.cpp so existing
-/// Tx-typed callers don't each re-instantiate the interpreter loop.
-extern template word_t execute<Tx>(Tx&, const Function&, const word_t*,
-                                   std::size_t, const InterpOptions&);
 
 }  // namespace semstm::tmir

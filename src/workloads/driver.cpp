@@ -36,13 +36,13 @@ RunResult run_workload(const RunConfig& cfg, Workload& workload) {
   if (cfg.trace != nullptr) {
     cfg.trace->prepare(cfg.threads);
     for (unsigned t = 0; t < cfg.threads; ++t) {
-      ctxs[t]->tx->bind_trace(&cfg.trace->ring(t));
+      ctxs[t]->tx->base.bind_trace(&cfg.trace->ring(t));
     }
   }
   if (cfg.metrics != nullptr) {
     cfg.metrics->prepare(cfg.threads);
     for (unsigned t = 0; t < cfg.threads; ++t) {
-      ctxs[t]->tx->bind_metrics(&cfg.metrics->series(t));
+      ctxs[t]->tx->base.bind_metrics(&cfg.metrics->series(t));
     }
   }
 
@@ -53,20 +53,12 @@ RunResult run_workload(const RunConfig& cfg, Workload& workload) {
     std::exit(2);
   }
 
-  const AlgoId aid = algo_id(cfg.algo);
   auto body = [&](unsigned tid) {
     CtxBinder bind(*ctxs[tid]);
-    Rng& rng = rngs[tid];
     const std::uint64_t ops = cfg.ops_by_thread.empty()
                                   ? cfg.ops_per_thread
                                   : cfg.ops_by_thread[tid];
-    if (cfg.dispatch == Dispatch::kStatic) {
-      workload.run_ops(aid, tid, rng, ops);
-    } else {
-      for (std::uint64_t i = 0; i < ops; ++i) {
-        workload.op(tid, rng);
-      }
-    }
+    workload.run_ops(tid, rngs[tid], ops);
   };
 
   RunResult r;
@@ -98,7 +90,7 @@ RunResult run_workload(const RunConfig& cfg, Workload& workload) {
     r.windows = cfg.metrics->merged();
   }
   obs::ConflictMap merged(12);  // 4096 run-level sites
-  for (const auto& ctx : ctxs) merged.merge(ctx->tx->conflict_map());
+  for (const auto& ctx : ctxs) merged.merge(ctx->tx->base.conflict_map());
   r.conflict_overflow = merged.overflow();
   r.hot_sites = obs::top_sites(merged, cfg.top_k_sites);
   if (cfg.mode == ExecMode::kSim) {

@@ -21,39 +21,23 @@
 
 namespace semstm {
 
-/// A benchmark workload. setup() runs once (non-transactionally); op()
-/// executes one outer operation — usually exactly one transaction — and is
-/// called ops_per_thread times per logical thread; verify() checks
-/// workload invariants after the run (used by the integration tests).
-///
-/// run_ops() is a thread's whole inner loop. The default implementation
-/// simply calls op() `ops` times (virtual dispatch per access); workloads
-/// deriving from MonoWorkload (workloads/mono.hpp) override it to
-/// monomorphize the loop on the algorithm's concrete descriptor type, so
-/// the per-access TM calls devirtualize (DESIGN.md §4.12). The driver
-/// selects between the two through RunConfig::dispatch.
+/// A benchmark workload. setup() runs once (non-transactionally);
+/// run_ops() is a logical thread's whole inner loop — `ops` outer
+/// operations, usually one transaction each, on the descriptor bound to
+/// the calling thread; verify() checks workload invariants after the run
+/// (used by the integration tests). Workloads implement run_ops() by
+/// deriving from MonoWorkload (workloads/mono.hpp).
 class Workload {
  public:
   virtual ~Workload() = default;
   virtual void setup(Rng& rng) { (void)rng; }
-  virtual void op(unsigned tid, Rng& rng) = 0;
-  virtual void run_ops(AlgoId algo, unsigned tid, Rng& rng,
-                       std::uint64_t ops) {
-    (void)algo;
-    for (std::uint64_t i = 0; i < ops; ++i) op(tid, rng);
-  }
+  virtual void run_ops(unsigned tid, Rng& rng, std::uint64_t ops) = 0;
   virtual void verify() {}
 };
 
 enum class ExecMode : std::uint8_t {
   kSim,   ///< fiber-based virtual N-core scheduler (deterministic)
   kReal,  ///< real std::thread concurrency
-};
-
-/// How worker loops reach the TM runtime.
-enum class Dispatch : std::uint8_t {
-  kVirtual,  ///< op() through the type-erased Tx interface
-  kStatic,   ///< run_ops() monomorphized on the concrete descriptor
 };
 
 /// Split `total` operations across `threads` with no remainder loss: the
@@ -86,10 +70,6 @@ struct RunConfig {
   /// (split_total_ops) uses this to distribute the division remainder.
   std::vector<std::uint64_t> ops_by_thread;
   std::uint64_t seed = 0xC0FFEE;
-  /// Dispatch tier for the worker loops. Static is the default: it is the
-  /// fast path, and workloads not opting in (no run_ops override) fall
-  /// back to the virtual loop transparently.
-  Dispatch dispatch = Dispatch::kStatic;
   AlgoOptions algo_opts{};
   /// Simulator scheduling slack (see sched::SimOptions::quantum).
   std::uint64_t sim_quantum = 0;

@@ -47,7 +47,7 @@ class HashtableWorkload final : public MonoWorkload<HashtableWorkload> {
     std::size_t inserted = 0;
     while (inserted < target) {
       const auto key = static_cast<std::int64_t>(rng.below(p_.key_space));
-      inserted += atomically([&](Tx& tx) { return table_.insert(tx, key); });
+      inserted += atomically([&](auto& tx) { return table_.insert(tx, key); });
     }
   }
 

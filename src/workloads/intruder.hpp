@@ -48,7 +48,7 @@ class IntruderWorkload final : public MonoWorkload<IntruderWorkload> {
       std::swap(stream[i - 1], stream[rng.below(i)]);
     }
     for (const std::int64_t pkt : stream) {
-      atomically([&](Tx& tx) { (void)packets_.enqueue(tx, pkt); });
+      atomically([&](auto& tx) { (void)packets_.enqueue(tx, pkt); });
     }
   }
 

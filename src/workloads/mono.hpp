@@ -1,27 +1,20 @@
-// MonoWorkload: the monomorphization adapter between the Workload
-// interface and the two-tier dispatch design (DESIGN.md §4.12).
+// MonoWorkload: the adapter between the Workload interface and the
+// concrete descriptor cores (DESIGN.md §4.12).
 //
 // A workload derives from MonoWorkload<Self> and implements ONE body,
 //
 //   template <typename TxT> void op_t(unsigned tid, Rng& rng);
 //
 // written against the deduced descriptor type (its atomically<TxT> lambdas
-// take TxT&, and every TVar/container call forwards TxT). The mixin then
-// provides both Workload entry points from that single source:
-//
-//  - op()      instantiates op_t<Tx>: the type-erased tier, one virtual
-//              call per TM access — the baseline every prior session used.
-//  - run_ops() switches once per thread-loop over the algorithm id
-//              (dispatch_algorithm) and instantiates op_t<Core> for the
-//              concrete descriptor: zero virtual calls inside the loop.
-//
-// Both instantiations execute the same statements against the same
-// descriptor object, which is what makes the bit-identical-statistics
-// parity check of tests/test_dispatch.cpp meaningful.
+// take TxT&, and every TVar/container call forwards TxT). run_ops()
+// switches once per thread loop on the bound context's algorithm
+// (dispatch_algorithm) and instantiates op_t<Core> for its concrete core:
+// no virtual call inside the loop.
 #pragma once
 
 #include <cstdint>
 
+#include "core/context.hpp"
 #include "core/dispatch.hpp"
 #include "workloads/driver.hpp"
 
@@ -30,13 +23,10 @@ namespace semstm {
 template <typename Derived>
 class MonoWorkload : public Workload {
  public:
-  void op(unsigned tid, Rng& rng) final {
-    static_cast<Derived&>(*this).template op_t<Tx>(tid, rng);
-  }
-
-  void run_ops(AlgoId algo, unsigned tid, Rng& rng,
-               std::uint64_t ops) final {
-    dispatch_algorithm(algo, [&](auto tag) {
+  void run_ops(unsigned tid, Rng& rng, std::uint64_t ops) final {
+    ThreadCtx* ctx = tls_ctx();
+    if (ctx == nullptr || ctx->tx == nullptr) die_no_ctx("run_ops()");
+    dispatch_algorithm(ctx->algo, [&](auto tag) {
       using TxT = typename decltype(tag)::tx_type;
       Derived& self = static_cast<Derived&>(*this);
       for (std::uint64_t i = 0; i < ops; ++i) {

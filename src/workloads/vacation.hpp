@@ -55,14 +55,14 @@ class VacationWorkload final : public MonoWorkload<VacationWorkload> {
         records_[slot].num_free.unsafe_set(p_.initial_free);
         records_[slot].price.unsafe_set(rng.between(50, 500));
         total_capacity_ += p_.initial_free;
-        atomically([&](Tx& tx) {
+        atomically([&](auto& tx) {
           tables[t]->insert(tx, static_cast<std::int64_t>(id),
                             static_cast<std::int64_t>(slot));
         });
       }
     }
     for (std::size_t c = 0; c < p_.customers; ++c) {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         customers_.insert(tx, static_cast<std::int64_t>(c), 0);
       });
     }

@@ -30,20 +30,20 @@ class Conformance : public ::testing::TestWithParam<std::string> {
 
 TEST_P(Conformance, ReadInitialValue) {
   TVar<long> x(41);
-  const long got = atomically([&](Tx& tx) { return x.get(tx); });
+  const long got = atomically([&](auto& tx) { return x.get(tx); });
   EXPECT_EQ(got, 41);
 }
 
 TEST_P(Conformance, WriteThenReadBack) {
   TVar<long> x(0);
-  atomically([&](Tx& tx) { x.set(tx, 7); });
+  atomically([&](auto& tx) { x.set(tx, 7); });
   EXPECT_EQ(x.unsafe_get(), 7);
-  EXPECT_EQ(atomically([&](Tx& tx) { return x.get(tx); }), 7);
+  EXPECT_EQ(atomically([&](auto& tx) { return x.get(tx); }), 7);
 }
 
 TEST_P(Conformance, ReadAfterWriteSeesBufferedValue) {
   TVar<long> x(1);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.set(tx, 2);
     EXPECT_EQ(x.get(tx), 2);     // RAW from write-set
     EXPECT_EQ(x.unsafe_get(), 1);  // lazy versioning: memory untouched
@@ -53,7 +53,7 @@ TEST_P(Conformance, ReadAfterWriteSeesBufferedValue) {
 
 TEST_P(Conformance, WriteAfterWriteLastWins) {
   TVar<long> x(0);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.set(tx, 1);
     x.set(tx, 2);
     x.set(tx, 3);
@@ -63,15 +63,15 @@ TEST_P(Conformance, WriteAfterWriteLastWins) {
 
 TEST_P(Conformance, IncrementAppliesDelta) {
   TVar<long> x(10);
-  atomically([&](Tx& tx) { x.add(tx, 5); });
+  atomically([&](auto& tx) { x.add(tx, 5); });
   EXPECT_EQ(x.unsafe_get(), 15);
-  atomically([&](Tx& tx) { x.sub(tx, 7); });
+  atomically([&](auto& tx) { x.sub(tx, 7); });
   EXPECT_EQ(x.unsafe_get(), 8);
 }
 
 TEST_P(Conformance, IncrementsAccumulateWithinTransaction) {
   TVar<long> x(100);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.add(tx, 1);
     x.add(tx, 2);
     x.sub(tx, 4);
@@ -83,7 +83,7 @@ TEST_P(Conformance, ReadAfterIncrementPromotes) {
   // §4.1 read-after-write over an increment: the read must observe the
   // initial value plus the pending delta (sequential spec of §5).
   TVar<long> x(10);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.add(tx, 5);
     EXPECT_EQ(x.get(tx), 15);
     x.add(tx, 1);
@@ -94,7 +94,7 @@ TEST_P(Conformance, ReadAfterIncrementPromotes) {
 
 TEST_P(Conformance, IncrementAfterWriteAccumulatesOverBufferedValue) {
   TVar<long> x(1);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.set(tx, 50);
     x.add(tx, 3);
     EXPECT_EQ(x.get(tx), 53);
@@ -104,7 +104,7 @@ TEST_P(Conformance, IncrementAfterWriteAccumulatesOverBufferedValue) {
 
 TEST_P(Conformance, WriteAfterIncrementOverrides) {
   TVar<long> x(1);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.add(tx, 100);
     x.set(tx, 9);
   });
@@ -113,7 +113,7 @@ TEST_P(Conformance, WriteAfterIncrementOverrides) {
 
 TEST_P(Conformance, CompareAgainstValue) {
   TVar<long> x(5);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_TRUE(x.gt(tx, 0));
     EXPECT_TRUE(x.gte(tx, 5));
     EXPECT_FALSE(x.gt(tx, 5));
@@ -128,7 +128,7 @@ TEST_P(Conformance, CompareAgainstValue) {
 
 TEST_P(Conformance, CompareNegativeValuesSigned) {
   TVar<int> x(-3);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_TRUE(x.lt(tx, 0));
     EXPECT_TRUE(x.gt(tx, -10));
     EXPECT_FALSE(x.gte(tx, 0));
@@ -137,7 +137,7 @@ TEST_P(Conformance, CompareNegativeValuesSigned) {
 
 TEST_P(Conformance, CompareUnsignedUsesUnsignedOrder) {
   TVar<unsigned long> x(~0ul);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_TRUE(x.gt(tx, 1ul));  // would be false under signed order
   });
 }
@@ -145,14 +145,14 @@ TEST_P(Conformance, CompareUnsignedUsesUnsignedOrder) {
 TEST_P(Conformance, CompareAddressAddress) {
   TVar<long> head(3);
   TVar<long> tail(3);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_TRUE(head.eq(tx, tail));
     EXPECT_FALSE(head.neq(tx, tail));
     EXPECT_TRUE(head.lte(tx, tail));
     EXPECT_FALSE(head.lt(tx, tail));
   });
   tail.unsafe_set(5);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_TRUE(head.lt(tx, tail));
     EXPECT_TRUE(tail.gt(tx, head));
   });
@@ -160,7 +160,7 @@ TEST_P(Conformance, CompareAddressAddress) {
 
 TEST_P(Conformance, CompareSeesBufferedWrite) {
   TVar<long> x(0);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.set(tx, 10);
     EXPECT_TRUE(x.gt(tx, 5));   // must observe the buffered 10, not memory 0
     EXPECT_TRUE(x.eq(tx, 10));
@@ -169,7 +169,7 @@ TEST_P(Conformance, CompareSeesBufferedWrite) {
 
 TEST_P(Conformance, CompareSeesBufferedIncrement) {
   TVar<long> x(10);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.add(tx, 5);
     EXPECT_TRUE(x.eq(tx, 15));  // forces promotion in semantic algorithms
   });
@@ -179,7 +179,7 @@ TEST_P(Conformance, CompareSeesBufferedIncrement) {
 TEST_P(Conformance, Cmp2WithOneSideBuffered) {
   TVar<long> a(1);
   TVar<long> b(9);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     a.set(tx, 10);
     EXPECT_TRUE(a.gt(tx, b));  // buffered 10 vs memory 9
   });
@@ -189,7 +189,7 @@ TEST_P(Conformance, TransfersComposeAcrossTransactions) {
   TVar<long> from(100);
   TVar<long> to(0);
   for (int i = 0; i < 10; ++i) {
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       if (from.gte(tx, 10)) {
         from.sub(tx, 10);
         to.add(tx, 10);
@@ -199,7 +199,7 @@ TEST_P(Conformance, TransfersComposeAcrossTransactions) {
   EXPECT_EQ(from.unsafe_get(), 0);
   EXPECT_EQ(to.unsafe_get(), 100);
   // 11th transfer must be refused by the overdraft check.
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     if (from.gte(tx, 10)) {
       from.sub(tx, 10);
       to.add(tx, 10);
@@ -211,27 +211,27 @@ TEST_P(Conformance, TransfersComposeAcrossTransactions) {
 TEST_P(Conformance, UserExceptionRollsBackAndPropagates) {
   TVar<long> x(1);
   struct Boom {};
-  EXPECT_THROW(atomically([&](Tx& tx) {
+  EXPECT_THROW(atomically([&](auto& tx) {
                  x.set(tx, 999);
                  throw Boom{};
                }),
                Boom);
   EXPECT_EQ(x.unsafe_get(), 1);  // lazy versioning: nothing leaked
   // The descriptor must be reusable afterwards.
-  atomically([&](Tx& tx) { x.set(tx, 2); });
+  atomically([&](auto& tx) { x.set(tx, 2); });
   EXPECT_EQ(x.unsafe_get(), 2);
 }
 
 TEST_P(Conformance, ReturnValuePlumbsThrough) {
   TVar<long> x(6);
-  const long doubled = atomically([&](Tx& tx) { return 2 * x.get(tx); });
+  const long doubled = atomically([&](auto& tx) { return 2 * x.get(tx); });
   EXPECT_EQ(doubled, 12);
 }
 
 TEST_P(Conformance, ManySequentialTransactionsStayConsistent) {
   TVar<long> counter(0);
   for (int i = 0; i < 1000; ++i) {
-    atomically([&](Tx& tx) { counter.add(tx, 1); });
+    atomically([&](auto& tx) { counter.add(tx, 1); });
   }
   EXPECT_EQ(counter.unsafe_get(), 1000);
   EXPECT_EQ(stats().commits, 1000u);
@@ -242,7 +242,7 @@ TEST_P(Conformance, StatsCountOperationKinds) {
   TVar<long> x(1);
   TVar<long> y(2);
   stats().reset();
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     (void)x.get(tx);
     y.set(tx, 3);
     (void)x.gt(tx, 0);

@@ -14,7 +14,7 @@
 #include "containers/tqueue.hpp"
 #include "containers/trbtree.hpp"
 #include "semstm.hpp"
-#include "workloads/driver.hpp"
+#include "workloads/mono.hpp"
 
 namespace semstm {
 namespace {
@@ -48,7 +48,7 @@ class Containers : public ::testing::TestWithParam<Param> {
 
 TEST_P(Containers, HashtableInsertContainsRemove) {
   TOpenHashTable ht(256, semantic_);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_FALSE(ht.contains(tx, 5));
     EXPECT_TRUE(ht.insert(tx, 5));
     EXPECT_TRUE(ht.contains(tx, 5));
@@ -66,7 +66,7 @@ TEST_P(Containers, HashtableMatchesSetOracle) {
   for (int i = 0; i < 2000; ++i) {
     const std::int64_t key = rng.between(0, 500);
     const auto action = rng.below(3);
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       switch (action) {
         case 0:
           EXPECT_EQ(ht.insert(tx, key), oracle.insert(key).second);
@@ -92,7 +92,7 @@ TEST_P(Containers, HashtablePerOperatorProbeMatchesOracle) {
   Rng rng(31337);
   for (int i = 0; i < 1200; ++i) {
     const std::int64_t key = rng.between(0, 300);
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       switch (rng.below(3)) {
         case 0: EXPECT_EQ(ht.insert(tx, key), oracle.insert(key).second); break;
         case 1: EXPECT_EQ(ht.remove(tx, key), oracle.erase(key) > 0); break;
@@ -105,7 +105,7 @@ TEST_P(Containers, HashtablePerOperatorProbeMatchesOracle) {
 
 TEST_P(Containers, HashtableReusesTombstones) {
   TOpenHashTable ht(16, semantic_);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     for (int k = 0; k < 10; ++k) EXPECT_TRUE(ht.insert(tx, k));
     for (int k = 0; k < 10; ++k) EXPECT_TRUE(ht.remove(tx, k));
     for (int k = 10; k < 20; ++k) EXPECT_TRUE(ht.insert(tx, k));
@@ -125,7 +125,7 @@ TEST_P(Containers, QueueFifoOrder) {
   for (int i = 0; i < 500; ++i) {
     if (rng.percent(55)) {
       const std::int64_t v = rng.between(0, 1 << 20);
-      const bool ok = atomically([&](Tx& tx) { return q.enqueue(tx, v); });
+      const bool ok = atomically([&](auto& tx) { return q.enqueue(tx, v); });
       if (oracle.size() < 8) {
         EXPECT_TRUE(ok);
         oracle.push_back(v);
@@ -134,7 +134,7 @@ TEST_P(Containers, QueueFifoOrder) {
       }
     } else {
       const auto got =
-          atomically([&](Tx& tx) { return q.dequeue(tx); });
+          atomically([&](auto& tx) { return q.dequeue(tx); });
       if (oracle.empty()) {
         EXPECT_FALSE(got.has_value());
       } else {
@@ -150,11 +150,11 @@ TEST_P(Containers, QueueFifoOrder) {
 TEST_P(Containers, QueueWrapsAround) {
   TQueue q(4, semantic_);
   for (std::int64_t round = 0; round < 10; ++round) {
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       EXPECT_TRUE(q.enqueue(tx, round * 2));
       EXPECT_TRUE(q.enqueue(tx, round * 2 + 1));
     });
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       EXPECT_EQ(q.dequeue(tx), std::optional<std::int64_t>(round * 2));
       EXPECT_EQ(q.dequeue(tx), std::optional<std::int64_t>(round * 2 + 1));
       EXPECT_TRUE(q.empty(tx));
@@ -175,24 +175,24 @@ TEST_P(Containers, RbTreeMatchesMapOracle) {
     const std::int64_t val = rng.between(0, 1 << 30);
     switch (rng.below(4)) {
       case 0:
-        atomically([&](Tx& tx) {
+        atomically([&](auto& tx) {
           EXPECT_EQ(tree.insert(tx, key, val), oracle.emplace(key, val).second);
         });
         break;
       case 1:
-        atomically([&](Tx& tx) {
+        atomically([&](auto& tx) {
           EXPECT_EQ(tree.erase(tx, key), oracle.erase(key) > 0);
         });
         break;
       case 2:
-        atomically([&](Tx& tx) {
+        atomically([&](auto& tx) {
           const bool present = oracle.count(key) > 0;
           EXPECT_EQ(tree.update(tx, key, val), present);
           if (present) oracle[key] = val;
         });
         break;
       default:
-        atomically([&](Tx& tx) {
+        atomically([&](auto& tx) {
           auto got = tree.find(tx, key);
           auto it = oracle.find(key);
           if (it == oracle.end()) {
@@ -214,21 +214,21 @@ TEST_P(Containers, RbTreeBalancesSequentialInserts) {
   // invariants bound the black height to O(log n).
   TRbMap tree(5000, semantic_);
   for (std::int64_t k = 0; k < 2048; ++k) {
-    atomically([&](Tx& tx) { EXPECT_TRUE(tree.insert(tx, k, k * 10)); });
+    atomically([&](auto& tx) { EXPECT_TRUE(tree.insert(tx, k, k * 10)); });
   }
   EXPECT_EQ(tree.unsafe_count(), 2048u);
   const int bh = tree.unsafe_validate();
   ASSERT_GT(bh, 0);
   EXPECT_LE(bh, 12);  // 2*log2(2049) bound on black height
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_EQ(tree.find(tx, 1000), std::optional<std::int64_t>(10000));
   });
 }
 
 TEST_P(Containers, RbTreeFindSlotPinsRecord) {
   TRbMap tree(64, semantic_);
-  atomically([&](Tx& tx) { tree.insert(tx, 7, 100); });
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) { tree.insert(tx, 7, 100); });
+  atomically([&](auto& tx) {
     TVar<std::int64_t>* slot = tree.find_slot(tx, 7);
     ASSERT_NE(slot, nullptr);
     if (semantic_) {
@@ -238,7 +238,7 @@ TEST_P(Containers, RbTreeFindSlotPinsRecord) {
       slot->set(tx, slot->get(tx) - 1);
     }
   });
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_EQ(tree.find(tx, 7), std::optional<std::int64_t>(99));
     EXPECT_EQ(tree.find_slot(tx, 12345), nullptr);
   });
@@ -250,30 +250,30 @@ TEST_P(Containers, RbTreeFindSlotPinsRecord) {
 
 TEST_P(Containers, LruHitAfterSet) {
   TLruCache cache(8, 4, semantic_);
-  atomically([&](Tx& tx) { cache.set(tx, 42, 4200); });
-  const auto got = atomically([&](Tx& tx) { return cache.lookup(tx, 42); });
+  atomically([&](auto& tx) { cache.set(tx, 42, 4200); });
+  const auto got = atomically([&](auto& tx) { return cache.lookup(tx, 42); });
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 4200);
   EXPECT_FALSE(
-      atomically([&](Tx& tx) { return cache.lookup(tx, 43); }).has_value());
+      atomically([&](auto& tx) { return cache.lookup(tx, 43); }).has_value());
 }
 
 TEST_P(Containers, LruEvictsLeastFrequentlyUsed) {
   TLruCache cache(1, 3, semantic_);  // one line, three buckets
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     cache.set(tx, 1, 10);
     cache.set(tx, 2, 20);
     cache.set(tx, 3, 30);
   });
   // Heat up keys 1 and 3; key 2 stays cold.
   for (int i = 0; i < 5; ++i) {
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       (void)cache.lookup(tx, 1);
       (void)cache.lookup(tx, 3);
     });
   }
-  atomically([&](Tx& tx) { cache.set(tx, 9, 90); });  // must evict key 2
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) { cache.set(tx, 9, 90); });  // must evict key 2
+  atomically([&](auto& tx) {
     EXPECT_TRUE(cache.lookup(tx, 1).has_value());
     EXPECT_TRUE(cache.lookup(tx, 3).has_value());
     EXPECT_TRUE(cache.lookup(tx, 9).has_value());
@@ -283,9 +283,9 @@ TEST_P(Containers, LruEvictsLeastFrequentlyUsed) {
 
 TEST_P(Containers, LruUpdateInPlace) {
   TLruCache cache(4, 4, semantic_);
-  atomically([&](Tx& tx) { cache.set(tx, 5, 1); });
-  atomically([&](Tx& tx) { cache.set(tx, 5, 2); });
-  EXPECT_EQ(atomically([&](Tx& tx) { return cache.lookup(tx, 5); }),
+  atomically([&](auto& tx) { cache.set(tx, 5, 1); });
+  atomically([&](auto& tx) { cache.set(tx, 5, 2); });
+  EXPECT_EQ(atomically([&](auto& tx) { return cache.lookup(tx, 5); }),
             std::optional<std::int64_t>(2));
   EXPECT_EQ(cache.unsafe_occupied(), 1u);
 }
@@ -302,24 +302,62 @@ INSTANTIATE_TEST_SUITE_P(
 // algorithms, which is the paper's pairing).
 // ---------------------------------------------------------------------------
 
+bool semantic_algo(const std::string& algo) {
+  return algo == "snorec" || algo == "stl2";
+}
+
+/// Thread-disjoint hashtable inserts.
+class HashInsertWorkload final : public MonoWorkload<HashInsertWorkload> {
+ public:
+  explicit HashInsertWorkload(const std::string& algo)
+      : ht(4096, /*use_semantics=*/semantic_algo(algo)) {}
+  template <typename TxT>
+  void op_t(unsigned tid, Rng& rng) {
+    const auto key = static_cast<std::int64_t>(tid) * 1000000 +
+                     static_cast<std::int64_t>(rng.below(100000));
+    atomically<TxT>([&](TxT& tx) { (void)ht.insert(tx, key); });
+  }
+  TOpenHashTable ht;
+};
+
+/// Even threads enqueue, odd threads dequeue.
+class QueueWorkload final : public MonoWorkload<QueueWorkload> {
+ public:
+  explicit QueueWorkload(const std::string& algo)
+      : q(1024, semantic_algo(algo)) {}
+  template <typename TxT>
+  void op_t(unsigned tid, Rng&) {
+    if (tid % 2 == 0) {
+      if (atomically<TxT>([&](TxT& tx) { return q.enqueue(tx, 7); })) {
+        ++enqueued;
+      }
+    } else {
+      if (atomically<TxT>([&](TxT& tx) { return q.dequeue(tx); })) {
+        ++dequeued;
+      }
+    }
+  }
+  TQueue q;
+  std::uint64_t enqueued = 0, dequeued = 0;
+};
+
+/// Thread-disjoint red-black tree inserts.
+class TreeInsertWorkload final : public MonoWorkload<TreeInsertWorkload> {
+ public:
+  TreeInsertWorkload() : tree(32768) {}
+  template <typename TxT>
+  void op_t(unsigned tid, Rng& rng) {
+    const auto key = static_cast<std::int64_t>(rng.below(5000)) * 8 +
+                     static_cast<std::int64_t>(tid);
+    atomically<TxT>([&](TxT& tx) { (void)tree.insert(tx, key, key); });
+  }
+  TRbMap tree;
+};
+
 class ContainerStress : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ContainerStress, HashtableConcurrentDistinctInserts) {
-  class W final : public Workload {
-   public:
-    explicit W(const std::string& algo)
-        : ht(4096, /*use_semantics=*/algo == "snorec" || algo == "stl2") {}
-    void op(unsigned tid, Rng& rng) override {
-      const auto key =
-          static_cast<std::int64_t>(tid) * 1000000 +
-          static_cast<std::int64_t>(rng.below(100000));
-      atomically([&](Tx& tx) { (void)ht.insert(tx, key); });
-      ++attempted;
-    }
-    TOpenHashTable ht;
-    std::uint64_t attempted = 0;
-  };
-  W w(GetParam());
+  HashInsertWorkload w(GetParam());
   RunConfig cfg;
   cfg.algo = GetParam();
   cfg.mode = ExecMode::kSim;
@@ -333,23 +371,7 @@ TEST_P(ContainerStress, HashtableConcurrentDistinctInserts) {
 }
 
 TEST_P(ContainerStress, QueueConservesItems) {
-  class W final : public Workload {
-   public:
-    explicit W(const std::string& algo)
-        : q(1024, algo == "snorec" || algo == "stl2") {}
-    void op(unsigned tid, Rng&) override {
-      if (tid % 2 == 0) {
-        const bool ok = atomically([&](Tx& tx) { return q.enqueue(tx, 7); });
-        if (ok) ++enqueued;
-      } else {
-        const auto got = atomically([&](Tx& tx) { return q.dequeue(tx); });
-        if (got) ++dequeued;
-      }
-    }
-    TQueue q;
-    std::uint64_t enqueued = 0, dequeued = 0;
-  };
-  W w(GetParam());
+  QueueWorkload w(GetParam());
   RunConfig cfg;
   cfg.algo = GetParam();
   cfg.mode = ExecMode::kSim;
@@ -362,17 +384,7 @@ TEST_P(ContainerStress, QueueConservesItems) {
 }
 
 TEST_P(ContainerStress, RbTreeConcurrentInsertsKeepInvariants) {
-  class W final : public Workload {
-   public:
-    W() : tree(32768) {}
-    void op(unsigned tid, Rng& rng) override {
-      const auto key = static_cast<std::int64_t>(rng.below(5000)) * 8 +
-                       static_cast<std::int64_t>(tid);
-      atomically([&](Tx& tx) { (void)tree.insert(tx, key, key); });
-    }
-    TRbMap tree;
-  };
-  W w;
+  TreeInsertWorkload w;
   RunConfig cfg;
   cfg.algo = GetParam();
   cfg.mode = ExecMode::kSim;

@@ -15,7 +15,7 @@
 #include "sched/thread_runner.hpp"
 #include "sched/virtual_scheduler.hpp"
 #include "semstm.hpp"
-#include "workloads/driver.hpp"
+#include "workloads/mono.hpp"
 
 namespace semstm {
 namespace {
@@ -103,7 +103,7 @@ TEST(ExceptionAccounting, UserExceptionIsNotAnAbort) {
     CtxBinder bind(ctx);
     TVar<long> x(1);
 
-    EXPECT_THROW(atomically([&](Tx& tx) {
+    EXPECT_THROW(atomically([&](auto& tx) {
                    x.set(tx, 99);
                    throw std::runtime_error("user bug");
                  }),
@@ -117,20 +117,23 @@ TEST(ExceptionAccounting, UserExceptionIsNotAnAbort) {
     EXPECT_EQ(x.unsafe_get(), 1) << "rolled-back write leaked";
 
     // The descriptor (and for CGL, the global lock) must be fully released.
-    atomically([&](Tx& tx) { x.set(tx, 3); });
+    atomically([&](auto& tx) { x.set(tx, 3); });
     EXPECT_EQ(x.unsafe_get(), 3);
     EXPECT_EQ(ctx.tx->stats.commits, 1u);
   }
 }
 
+/// Every thread increments one shared counter.
+class HotCounter final : public MonoWorkload<HotCounter> {
+ public:
+  template <typename TxT>
+  void op_t(unsigned, Rng&) {
+    atomically<TxT>([&](TxT& tx) { v.set(tx, v.get(tx) + 1); });
+  }
+  TVar<long> v{0};
+};
+
 TEST(ExceptionAccounting, IdentityHoldsUnderContendedSimRun) {
-  class HotCounter final : public Workload {
-   public:
-    void op(unsigned, Rng&) override {
-      atomically([&](Tx& tx) { v.set(tx, v.get(tx) + 1); });
-    }
-    TVar<long> v{0};
-  };
   HotCounter w;
   RunConfig cfg;
   cfg.algo = "norec";
@@ -202,7 +205,7 @@ LivelockResult run_livelock(const std::string& algo_name,
       // test when the policy provides no escape (the livelock case).
       std::uint64_t attempts = 0;
       try {
-        atomically([&](Tx& tx) {
+        atomically([&](auto& tx) {
           if (++attempts > victim_guard) throw GiveUp{};
           long sum = 0;
           for (auto& v : vars) sum += v->get(tx);
@@ -219,7 +222,7 @@ LivelockResult run_livelock(const std::string& algo_name,
            !done.load(std::memory_order_acquire) && iter < 500000; ++iter) {
         TVar<long>& v =
             *vars[(static_cast<std::uint64_t>(tid) * 7 + iter) % kVars];
-        atomically([&](Tx& tx) { v.set(tx, v.get(tx) + 1); });
+        atomically([&](auto& tx) { v.set(tx, v.get(tx) + 1); });
         aggressor_commits.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -323,13 +326,6 @@ TEST(LivelockFallbackReal, BoundedRetryTerminatesOnRealThreads) {
 // workload under "bounded" commits everything and reports any fallbacks
 // through the aggregated RunResult stats (the bench JSON's source).
 TEST(LivelockFallback, DriverWiresPolicyAndCountersThrough) {
-  class HotCounter final : public Workload {
-   public:
-    void op(unsigned, Rng&) override {
-      atomically([&](Tx& tx) { v.set(tx, v.get(tx) + 1); });
-    }
-    TVar<long> v{0};
-  };
   HotCounter w;
   RunConfig cfg;
   cfg.algo = "tl2";

@@ -38,7 +38,7 @@ TEST_P(DedupStats, RepeatedReadsOfOneLocationCollapse) {
   constexpr int kReads = 100;
   TVar<long> x(5);
   TVar<long> acc(0);
-  const long sum = atomically([&](Tx& tx) {
+  const long sum = atomically([&](auto& tx) {
     long s = 0;
     for (int i = 0; i < kReads; ++i) s += x.get(tx);
     acc.set(tx, s);  // non-empty write-set: commit must validate reads
@@ -61,7 +61,7 @@ TEST_P(DedupStats, DistinctReadsAreAllTracked) {
     vars[i].unsafe_set(static_cast<long>(i));
   }
   TVar<long> acc(0);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     long s = 0;
     for (auto& v : vars) s += v.get(tx);
     acc.set(tx, s);
@@ -82,7 +82,7 @@ TEST_P(DedupStats, InterleavedRereadsStillCommitCorrectValues) {
   TVar<long> a(1);
   TVar<long> b(10);
   TVar<long> out(0);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     long s = 0;
     for (int i = 0; i < 8; ++i) s += a.get(tx) + b.get(tx);
     // Two back-to-back reads of one location: the second is a dup under
@@ -100,7 +100,7 @@ TEST_P(DedupStats, InterleavedRereadsStillCommitCorrectValues) {
 TEST_P(DedupStats, ReadAfterWriteIsNotCountedAsTrackedRead) {
   // RAW hits the write-set fast path; it must not inflate either counter.
   TVar<long> x(0);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     x.set(tx, 3);
     for (int i = 0; i < 10; ++i) EXPECT_EQ(x.get(tx), 3);
   });
@@ -114,7 +114,7 @@ TEST_P(DedupStats, ValidationExaminesOnlyTrackedEntries) {
   constexpr int kReads = 50;
   TVar<long> x(2);
   TVar<long> y(0);
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     long s = 0;
     for (int i = 0; i < kReads; ++i) s += x.get(tx);
     y.set(tx, s);

@@ -1,12 +1,8 @@
-// Two-tier dispatch parity (DESIGN.md §4.12).
-//
-// The monomorphic tier (atomically<Core>, op_t<Core>) and the type-erased
-// tier (atomically<Tx>, op_t<Tx>) are two instantiations of the same
-// statements over the same descriptor. If the refactor is faithful, a
-// deterministic sim-mode run must produce BIT-IDENTICAL statistics under
-// both tiers — commits, aborts, per-cause abort attribution, and every
-// read/compare/increment/read-set-economy counter — for all five
-// algorithms. Any divergence means the tiers execute different logic.
+// The single point of type erasure (DESIGN.md §4.12): dispatch_algorithm()
+// maps every algorithm name to its core, the untemplated atomically() runs
+// a generic body on the bound algorithm's core, atomically<Core>() refuses
+// a context bound to another algorithm, and sim-mode runs through
+// MonoWorkload replay bit-identically.
 //
 // The shared state is owned by the fixture and reset (not reallocated)
 // between runs: TL2-family read-set counters depend on address-hashed orec
@@ -17,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "containers/tarray.hpp"
 #include "core/atomically.hpp"
@@ -31,8 +28,7 @@ constexpr std::int64_t kInitial = 100;
 
 /// Exercises every primitive of the extended API — read, write, cmp,
 /// cmp2, cmp_or, inc (with RAW promotion via the re-read after add) —
-/// against caller-owned cells, so both dispatch tiers run over identical
-/// addresses.
+/// against caller-owned cells, so repeated runs see identical addresses.
 class ParityWorkload final : public MonoWorkload<ParityWorkload> {
  public:
   explicit ParityWorkload(TArray<std::int64_t>& cells) : cells_(cells) {}
@@ -86,7 +82,7 @@ class DispatchParity : public ::testing::TestWithParam<const char*> {
     }
   }
 
-  RunResult run(Dispatch dispatch) {
+  RunResult run() {
     reset_cells();
     ParityWorkload wl(cells_);
     RunConfig cfg;
@@ -96,44 +92,11 @@ class DispatchParity : public ::testing::TestWithParam<const char*> {
     cfg.ops_per_thread = 400;
     cfg.seed = 0xD15BA7C4;
     cfg.cm = "backoff";
-    cfg.dispatch = dispatch;
     return run_workload(cfg, wl);
   }
 
   TArray<std::int64_t> cells_{kCells, kInitial};
 };
-
-TEST_P(DispatchParity, StaticAndVirtualTiersAreBitIdentical) {
-  const RunResult v = run(Dispatch::kVirtual);
-  const RunResult s = run(Dispatch::kStatic);
-
-  EXPECT_GT(v.stats.commits, 0u);
-  EXPECT_EQ(v.stats.starts, s.stats.starts);
-  EXPECT_EQ(v.stats.commits, s.stats.commits);
-  EXPECT_EQ(v.stats.aborts, s.stats.aborts);
-  EXPECT_EQ(v.stats.exceptions, s.stats.exceptions);
-  EXPECT_EQ(v.stats.retries, s.stats.retries);
-  EXPECT_EQ(v.stats.fallbacks, s.stats.fallbacks);
-  EXPECT_EQ(v.stats.max_consec_aborts, s.stats.max_consec_aborts);
-  EXPECT_EQ(v.stats.reads, s.stats.reads);
-  EXPECT_EQ(v.stats.writes, s.stats.writes);
-  EXPECT_EQ(v.stats.compares, s.stats.compares);
-  EXPECT_EQ(v.stats.compares2, s.stats.compares2);
-  EXPECT_EQ(v.stats.increments, s.stats.increments);
-  EXPECT_EQ(v.stats.promotions, s.stats.promotions);
-  EXPECT_EQ(v.stats.validations, s.stats.validations);
-  EXPECT_EQ(v.stats.readset_adds, s.stats.readset_adds);
-  EXPECT_EQ(v.stats.readset_dups, s.stats.readset_dups);
-  EXPECT_EQ(v.stats.validate_entries, s.stats.validate_entries);
-  EXPECT_EQ(v.stats.clock_adoptions, s.stats.clock_adoptions);
-  EXPECT_EQ(v.stats.epoch_retires, s.stats.epoch_retires);
-  EXPECT_EQ(v.stats.epoch_reclaims, s.stats.epoch_reclaims);
-  for (std::size_t c = 0; c < obs::kAbortCauseCount; ++c) {
-    EXPECT_EQ(v.stats.abort_causes[c], s.stats.abort_causes[c])
-        << "abort cause index " << c;
-  }
-  EXPECT_EQ(v.makespan, s.makespan);
-}
 
 TEST_P(DispatchParity, SimRunsAreBitIdenticalAcrossRepeats) {
   // Replay determinism of the scalable commit infrastructure (§4.16): the
@@ -143,8 +106,8 @@ TEST_P(DispatchParity, SimRunsAreBitIdenticalAcrossRepeats) {
   // makespan exactly. (Cross-binary TL2 counts may legitimately differ —
   // orec hashing is address-dependent — which is precisely why this
   // comparison runs within one process over fixture-owned cells.)
-  const RunResult a = run(Dispatch::kStatic);
-  const RunResult b = run(Dispatch::kStatic);
+  const RunResult a = run();
+  const RunResult b = run();
   EXPECT_GT(a.stats.commits, 0u);
   EXPECT_EQ(a.stats.starts, b.stats.starts);
   EXPECT_EQ(a.stats.commits, b.stats.commits);
@@ -193,6 +156,18 @@ TEST(DispatchAlgorithm, TagCoreNameMatchesAlgorithmName) {
   }
 }
 
+TEST(DispatchAlgorithm, GenericAtomicallyRunsOnTheBoundAlgorithmsCore) {
+  for (const std::string& name : algorithm_names()) {
+    auto algo = make_algorithm(name);
+    ThreadCtx ctx(algo->make_tx());
+    CtxBinder bind(ctx);
+    const AlgoId ran = atomically(
+        [](auto& tx) { return std::remove_cvref_t<decltype(tx)>::kId; });
+    EXPECT_EQ(ran, algo_id(name)) << name;
+    EXPECT_EQ(ctx.tx->stats.commits, 1u) << name;
+  }
+}
+
 TEST(DispatchAlgorithm, UnknownNameThrows) {
   EXPECT_THROW((void)algo_id("tinystm"), std::invalid_argument);
   EXPECT_THROW((void)make_algorithm("tinystm"), std::invalid_argument);
@@ -228,14 +203,19 @@ TEST(MakeAlgorithmOptions, AcceptsBoundaryValues) {
   EXPECT_NE(make_algorithm("stl2", opts), nullptr);
 }
 
-// -- loud missing-context failure (release builds included) ------------------
-
-TEST(CurrentTxDeath, FailsLoudlyWithNoBoundContext) {
-  EXPECT_DEATH((void)current_tx(), "no transaction context bound");
-}
+// -- loud misuse failures (release builds included) ---------------------------
 
 TEST(CurrentTxDeath, AtomicallyFailsLoudlyWithNoBoundContext) {
-  EXPECT_DEATH(atomically([](Tx&) {}), "no transaction context bound");
+  EXPECT_DEATH(atomically([](auto&) {}), "no transaction context bound");
+}
+
+TEST(CurrentTxDeath, AtomicallyOnAnotherAlgorithmsCoreDies) {
+  auto algo = make_algorithm("norec");
+  ThreadCtx ctx(algo->make_tx());
+  CtxBinder bind(ctx);
+  EXPECT_DEATH(atomically<Tl2Core>([](Tl2Core&) {}),
+               "atomically<tl2>\\(\\) called on a thread bound to a norec "
+               "descriptor");
 }
 
 }  // namespace

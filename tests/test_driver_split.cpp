@@ -10,7 +10,7 @@
 #include <numeric>
 #include <vector>
 
-#include "workloads/driver.hpp"
+#include "workloads/mono.hpp"
 
 namespace semstm {
 namespace {
@@ -54,15 +54,16 @@ TEST(SplitTotalOpsDeath, RejectsZeroThreads) {
               "cannot be split over");
 }
 
-/// Counts op() invocations per thread — the ground truth for what the
+/// Counts op_t() invocations per thread — the ground truth for what the
 /// driver actually executed.
-class CountingWorkload final : public Workload {
+class CountingWorkload final : public MonoWorkload<CountingWorkload> {
  public:
   explicit CountingWorkload(unsigned threads) : per_thread_(threads) {
     for (auto& c : per_thread_) c.store(0);
   }
 
-  void op(unsigned tid, Rng& rng) override {
+  template <typename TxT>
+  void op_t(unsigned tid, Rng& rng) {
     (void)rng;
     per_thread_[tid].fetch_add(1, std::memory_order_relaxed);
   }

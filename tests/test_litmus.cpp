@@ -160,9 +160,9 @@ class WriteReadLitmus final : public TmLitmus {
   }
   void body(unsigned tid) override {
     if (tid == 0) {
-      atomically([&](Tx& tx) { tx.write(x_.word(), 1); });
+      atomically([&](auto& tx) { tx.write(x_.word(), 1); });
     } else {
-      atomically([&](Tx& tx) { r_ = static_cast<long>(tx.read(x_.word())); });
+      atomically([&](auto& tx) { r_ = static_cast<long>(tx.read(x_.word())); });
     }
   }
   std::string outcome() override { return "r=" + std::to_string(r_); }
@@ -204,12 +204,12 @@ class StoreBufferingLitmus final : public TmLitmus {
   }
   void body(unsigned tid) override {
     if (tid == 0) {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         tx.write(x_.word(), 1);
         r0_ = static_cast<long>(tx.read(y_.word()));
       });
     } else {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         tx.write(y_.word(), 1);
         r1_ = static_cast<long>(tx.read(x_.word()));
       });
@@ -259,12 +259,12 @@ class PublicationLitmus final : public TmLitmus {
   }
   void body(unsigned tid) override {
     if (tid == 0) {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         tx.write(data_.word(), 42);
         tx.write(flag_.word(), 1);
       });
     } else {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         r_flag_ = static_cast<long>(tx.read(flag_.word()));
         r_data_ =
             r_flag_ != 0 ? static_cast<long>(tx.read(data_.word())) : -1;
@@ -321,11 +321,11 @@ class PrivatizationLitmus final : public TmLitmus {
   }
   void body(unsigned tid) override {
     if (tid == 0) {
-      atomically([&](Tx& tx) { tx.write(flag_.word(), 1); });
+      atomically([&](auto& tx) { tx.write(flag_.word(), 1); });
       // Privatized by the committed flag: non-transactional access.
       x_.unsafe_set(x_.unsafe_get() * 10);
     } else {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         if (tx.read(flag_.word()) == 0) tx.write(x_.word(), 1);
       });
     }
@@ -380,11 +380,11 @@ class SemanticRevalLitmus final : public TmLitmus {
   }
   void body(unsigned tid) override {
     if (tid == 0) {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         if (tx.cmp(x_.word(), Rel::SGT, 0)) tx.inc(y_.word(), 1);
       });
     } else {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         tx.inc(x_.word(), static_cast<word_t>(-1));
         z_ = static_cast<long>(tx.read(y_.word()));
       });
@@ -603,7 +603,7 @@ TEST(LitmusRealThreads, TmCounterStress_real) {
       ThreadCtx ctx(algo->make_tx(), /*seed=*/1000 + tid);
       CtxBinder bind(ctx);
       for (int i = 0; i < 200; ++i) {
-        atomically([&](Tx& tx) { counter.add(tx, 1); });
+        atomically([&](auto& tx) { counter.add(tx, 1); });
       }
     });
     EXPECT_EQ(counter.unsafe_get(), 4 * 200) << algo_name;

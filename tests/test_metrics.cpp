@@ -364,41 +364,39 @@ TEST(ConflictMapTest, ClearResetsEverything) {
 
 TEST(AbortAttribution, Tl2LockConflictCarriesOrecIndexAndOwner) {
   Tl2Algorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  Tl2Core tx1(algo), tx2(algo);
   TVar<long> x(1);
 
   Orec& o = algo.orecs().of(x.word());
-  ASSERT_TRUE(o.try_lock(tx2.get()));  // stage a concurrent lock holder
+  ASSERT_TRUE(o.try_lock(&tx2));  // stage a concurrent lock holder
 
-  tx1->begin();
-  [&] { EXPECT_THROW(tx1->read(x.word()), TxAbort); }();
-  const obs::AbortInfo info = tx1->last_abort();
-  tx1->rollback();
+  tx1.begin();
+  [&] { EXPECT_THROW(tx1.read(x.word()), TxAbort); }();
+  const obs::AbortInfo info = tx1.last_abort();
+  tx1.rollback();
 
   EXPECT_EQ(info.cause, AbortCause::kWriteLockConflict);
   EXPECT_EQ(info.addr, x.word());
   EXPECT_EQ(info.orec, static_cast<std::uint32_t>(algo.orecs().index(&o)))
       << "the conflicting orec's table index must be reported";
-  EXPECT_EQ(info.owner, tx2.get())
+  EXPECT_EQ(info.owner, &tx2)
       << "the owner hint must name the lock holder";
-  o.unlock(tx2.get());
+  o.unlock(&tx2);
 }
 
 TEST(AbortAttribution, Tl2ReadValidationCarriesOrecWithoutOwner) {
   Tl2Algorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  Tl2Core tx1(algo), tx2(algo);
   TVar<long> x(1);
 
-  tx1->begin();  // snapshot at version 0
-  tx2->begin();
-  tx2->write(x.word(), 42);
-  tx2->commit();  // bumps x's orec past tx1's snapshot and unlocks
+  tx1.begin();  // snapshot at version 0
+  tx2.begin();
+  tx2.write(x.word(), 42);
+  tx2.commit();  // bumps x's orec past tx1's snapshot and unlocks
 
-  [&] { EXPECT_THROW(tx1->read(x.word()), TxAbort); }();
-  const obs::AbortInfo info = tx1->last_abort();
-  tx1->rollback();
+  [&] { EXPECT_THROW(tx1.read(x.word()), TxAbort); }();
+  const obs::AbortInfo info = tx1.last_abort();
+  tx1.rollback();
 
   EXPECT_EQ(info.cause, AbortCause::kReadValidation);
   const Orec& o = algo.orecs().of(x.word());

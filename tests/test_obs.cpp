@@ -5,9 +5,9 @@
 //  - LatencyHistogram: power-of-two bucket edges, percentile clamping and
 //    single-writer-then-merge aggregation.
 //  - Abort-cause attribution: every cause in the histogram is forced
-//    deterministically, per algorithm, by driving Tx methods directly with
-//    two descriptors on one thread (plus one real thread for the
-//    serial-gate preemption case).
+//    deterministically, per algorithm, by driving two descriptor cores
+//    directly on one thread (plus one real thread for the serial-gate
+//    preemption case).
 //  - TraceExporter: synthetic events render to parseable Chrome JSON and a
 //    flame summary — exercised in every build; the end-to-end driver test
 //    runs only under -DSEMSTM_TRACE=ON.
@@ -31,7 +31,7 @@
 #include "obs/trace_export.hpp"
 #include "obs/trace_ring.hpp"
 #include "semstm.hpp"
-#include "workloads/driver.hpp"
+#include "workloads/mono.hpp"
 
 namespace semstm {
 namespace {
@@ -185,8 +185,8 @@ TEST(ScopedLatency, RecordsOnlyInTracedBuilds) {
 
 /// Run `f` expecting a TxAbort; returns the aborted descriptor's
 /// attribution after rolling it back.
-template <typename F>
-obs::AbortInfo expect_abort(Tx& tx, F&& f) {
+template <typename TxT, typename F>
+obs::AbortInfo expect_abort(TxT& tx, F&& f) {
   [&] {  // EXPECT_THROW needs a void-returning callable
     EXPECT_THROW(f(), TxAbort);
   }();
@@ -197,38 +197,36 @@ obs::AbortInfo expect_abort(Tx& tx, F&& f) {
 
 TEST(AbortCause, NorecReadValidation) {
   NorecAlgorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  NorecCore tx1(algo), tx2(algo);
   TVar<long> x(1), y(2);
 
-  tx1->begin();
-  EXPECT_EQ(tx1->read(x.word()), 1u);  // value entry for x joins the read-set
+  tx1.begin();
+  EXPECT_EQ(tx1.read(x.word()), 1u);  // value entry for x joins the read-set
 
-  tx2->begin();
-  tx2->write(x.word(), 42);
-  tx2->commit();  // bumps the seqlock: tx1's next read must revalidate
+  tx2.begin();
+  tx2.write(x.word(), 42);
+  tx2.commit();  // bumps the seqlock: tx1's next read must revalidate
 
   const obs::AbortInfo info =
-      expect_abort(*tx1, [&] { tx1->read(y.word()); });
+      expect_abort(tx1, [&] { tx1.read(y.word()); });
   EXPECT_EQ(info.cause, AbortCause::kReadValidation);
   EXPECT_EQ(info.addr, x.word()) << "conflicting address must be reported";
 }
 
 TEST(AbortCause, SnorecCmpRevalidation) {
   SnorecAlgorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  SnorecCore tx1(algo), tx2(algo);
   TVar<long> x(10), y(0);
 
-  tx1->begin();
-  EXPECT_TRUE(tx1->cmp(x.word(), Rel::SGT, 5));  // semantic entry: x > 5
+  tx1.begin();
+  EXPECT_TRUE(tx1.cmp(x.word(), Rel::SGT, 5));  // semantic entry: x > 5
 
-  tx2->begin();
-  tx2->write(x.word(), 0);  // flips the recorded outcome
-  tx2->commit();
+  tx2.begin();
+  tx2.write(x.word(), 0);  // flips the recorded outcome
+  tx2.commit();
 
   const obs::AbortInfo info =
-      expect_abort(*tx1, [&] { tx1->read(y.word()); });
+      expect_abort(tx1, [&] { tx1.read(y.word()); });
   EXPECT_EQ(info.cause, AbortCause::kCmpRevalidation)
       << "a flipped cmp outcome must not be misfiled as a value failure";
   EXPECT_EQ(info.addr, x.word());
@@ -239,86 +237,82 @@ TEST(AbortCause, SnorecSurvivingCmpIsNotAnAbort) {
   // the attribution machinery must not turn semantic tolerance into
   // spurious kCmpRevalidation.
   SnorecAlgorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  SnorecCore tx1(algo), tx2(algo);
   TVar<long> x(10), y(0);
 
-  tx1->begin();
-  EXPECT_TRUE(tx1->cmp(x.word(), Rel::SGT, 5));
+  tx1.begin();
+  EXPECT_TRUE(tx1.cmp(x.word(), Rel::SGT, 5));
 
-  tx2->begin();
-  tx2->write(x.word(), 7);  // still > 5
-  tx2->commit();
+  tx2.begin();
+  tx2.write(x.word(), 7);  // still > 5
+  tx2.commit();
 
-  EXPECT_NO_THROW(tx1->read(y.word()));
-  EXPECT_NO_THROW(tx1->commit());
+  EXPECT_NO_THROW(tx1.read(y.word()));
+  EXPECT_NO_THROW(tx1.commit());
 }
 
 TEST(AbortCause, NorecClockOverflow) {
   NorecAlgorithm algo;
-  auto tx = algo.make_tx();
+  NorecCore tx(algo);
   TVar<long> x(0);
   // Park the seqlock at the last even timestamp: committing from this
   // snapshot would wrap through odd into 0.
   algo.lock().set_for_test(~std::uint64_t{0} - 1);
 
-  tx->begin();
-  tx->write(x.word(), 1);
-  const obs::AbortInfo info = expect_abort(*tx, [&] { tx->commit(); });
+  tx.begin();
+  tx.write(x.word(), 1);
+  const obs::AbortInfo info = expect_abort(tx, [&] { tx.commit(); });
   EXPECT_EQ(info.cause, AbortCause::kClockOverflow);
 }
 
 TEST(AbortCause, Tl2ReadValidation) {
   Tl2Algorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  Tl2Core tx1(algo), tx2(algo);
   TVar<long> x(1);
 
-  tx1->begin();  // start version 0
+  tx1.begin();  // start version 0
 
-  tx2->begin();
-  tx2->write(x.word(), 42);
-  tx2->commit();  // x's orec version becomes 1 > tx1's snapshot
+  tx2.begin();
+  tx2.write(x.word(), 42);
+  tx2.commit();  // x's orec version becomes 1 > tx1's snapshot
 
   const obs::AbortInfo info =
-      expect_abort(*tx1, [&] { tx1->read(x.word()); });
+      expect_abort(tx1, [&] { tx1.read(x.word()); });
   EXPECT_EQ(info.cause, AbortCause::kReadValidation);
   EXPECT_EQ(info.addr, x.word());
 }
 
 TEST(AbortCause, Tl2WriteLockConflict) {
   Tl2Algorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  Tl2Core tx1(algo), tx2(algo);
   TVar<long> x(1);
 
   // Stage a concurrent committer mid-write-back: its lock on x's orec.
   Orec& o = algo.orecs().of(x.word());
-  ASSERT_TRUE(o.try_lock(tx2.get()));
+  ASSERT_TRUE(o.try_lock(&tx2));
 
-  tx1->begin();
+  tx1.begin();
   const obs::AbortInfo info =
-      expect_abort(*tx1, [&] { tx1->read(x.word()); });
+      expect_abort(tx1, [&] { tx1.read(x.word()); });
   EXPECT_EQ(info.cause, AbortCause::kWriteLockConflict);
   EXPECT_EQ(info.addr, x.word());
-  o.unlock(tx2.get());
+  o.unlock(&tx2);
 }
 
 TEST(AbortCause, Tl2CommitValidationFailure) {
   Tl2Algorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  Tl2Core tx1(algo), tx2(algo);
   TVar<long> x(1), y(2);
 
-  tx1->begin();
-  EXPECT_EQ(tx1->read(x.word()), 1u);
-  tx1->write(y.word(), 9);
+  tx1.begin();
+  EXPECT_EQ(tx1.read(x.word()), 1u);
+  tx1.write(y.word(), 9);
 
-  tx2->begin();
-  tx2->write(x.word(), 42);
-  tx2->commit();
+  tx2.begin();
+  tx2.write(x.word(), 42);
+  tx2.commit();
 
-  const obs::AbortInfo info = expect_abort(*tx1, [&] { tx1->commit(); });
+  const obs::AbortInfo info = expect_abort(tx1, [&] { tx1.commit(); });
   EXPECT_EQ(info.cause, AbortCause::kReadValidation);
   EXPECT_NE(info.addr, nullptr) << "the stale orec must be reported";
   EXPECT_EQ(info.addr, &algo.orecs().of(x.word()));
@@ -326,44 +320,43 @@ TEST(AbortCause, Tl2CommitValidationFailure) {
 
 TEST(AbortCause, Tl2ClockOverflow) {
   Tl2Algorithm algo;
-  auto tx = algo.make_tx();
+  Tl2Core tx(algo);
   TVar<long> x(0);
   algo.clock().set_for_test(~std::uint64_t{0});  // fetch_increment wraps to 0
 
-  tx->begin();
-  tx->write(x.word(), 1);
-  const obs::AbortInfo info = expect_abort(*tx, [&] { tx->commit(); });
+  tx.begin();
+  tx.write(x.word(), 1);
+  const obs::AbortInfo info = expect_abort(tx, [&] { tx.commit(); });
   EXPECT_EQ(info.cause, AbortCause::kClockOverflow);
 }
 
 TEST(AbortCause, Stl2CmpRevalidation) {
   Stl2Algorithm algo;
-  auto tx1 = algo.make_tx();
-  auto tx2 = algo.make_tx();
+  Stl2Core tx1(algo), tx2(algo);
   TVar<long> x(10), w(0);
 
-  tx1->begin();
-  EXPECT_TRUE(tx1->cmp(x.word(), Rel::SGT, 5));  // compare-set entry
-  tx1->write(w.word(), 1);                       // force commit validation
+  tx1.begin();
+  EXPECT_TRUE(tx1.cmp(x.word(), Rel::SGT, 5));  // compare-set entry
+  tx1.write(w.word(), 1);                       // force commit validation
 
-  tx2->begin();
-  tx2->write(x.word(), 0);  // flips the outcome, advances the clock
-  tx2->commit();
+  tx2.begin();
+  tx2.write(x.word(), 0);  // flips the outcome, advances the clock
+  tx2.commit();
 
-  const obs::AbortInfo info = expect_abort(*tx1, [&] { tx1->commit(); });
+  const obs::AbortInfo info = expect_abort(tx1, [&] { tx1.commit(); });
   EXPECT_EQ(info.cause, AbortCause::kCmpRevalidation);
   EXPECT_EQ(info.addr, x.word());
 }
 
 TEST(AbortCause, Stl2ClockOverflow) {
   Stl2Algorithm algo;
-  auto tx = algo.make_tx();
+  Stl2Core tx(algo);
   TVar<long> x(0);
   algo.clock().set_for_test(~std::uint64_t{0});
 
-  tx->begin();
-  tx->write(x.word(), 1);
-  const obs::AbortInfo info = expect_abort(*tx, [&] { tx->commit(); });
+  tx.begin();
+  tx.write(x.word(), 1);
+  const obs::AbortInfo info = expect_abort(tx, [&] { tx.commit(); });
   EXPECT_EQ(info.cause, AbortCause::kClockOverflow);
 }
 
@@ -372,14 +365,14 @@ TEST(AbortCause, SerialGatePreemptReclassifiesConflicts) {
   // token, an ordinary conflict abort is attributed to the gate: the root
   // cause is the quiescing serial transaction, not the conflicting write.
   NorecAlgorithm algo;
-  auto tx1 = algo.make_tx();
+  NorecCore tx1(algo);
   TVar<long> x(1), y(2);
   int token_holder = 0;
-  SerialGate* gate = tx1->serial_gate();
+  SerialGate* gate = tx1.serial_gate();
   ASSERT_NE(gate, nullptr);
 
-  tx1->begin();
-  EXPECT_EQ(tx1->read(x.word()), 1u);
+  tx1.begin();
+  EXPECT_EQ(tx1.read(x.word()), 1u);
 
   // The acquirer claims the token immediately, then spins until tx1 (the
   // only in-flight transaction) drains — which happens at rollback below.
@@ -389,14 +382,14 @@ TEST(AbortCause, SerialGatePreemptReclassifiesConflicts) {
   });
   while (!gate->held()) std::this_thread::yield();
 
-  // Stage a conflicting commit directly on the seqlock (a Tx could not:
-  // begin() would block on the held gate).
+  // Stage a conflicting commit directly on the seqlock (a second core
+  // could not: its begin() would block on the held gate).
   ASSERT_TRUE(algo.lock().try_lock(0));
   x.unsafe_set(42);
   algo.lock().unlock(1);
 
   const obs::AbortInfo info =
-      expect_abort(*tx1, [&] { tx1->read(y.word()); });
+      expect_abort(tx1, [&] { tx1.read(y.word()); });
   EXPECT_EQ(info.cause, AbortCause::kSerialGatePreempt);
   acquirer.join();
   EXPECT_FALSE(gate->held());
@@ -411,7 +404,7 @@ TEST(AbortCause, UserAbortCountsAsAbortAndRetries) {
     TVar<long> x(0);
 
     bool aborted_once = false;
-    atomically([&](Tx& tx) {
+    atomically([&](auto& tx) {
       x.set(tx, 7);
       if (!aborted_once) {
         aborted_once = true;
@@ -431,10 +424,11 @@ TEST(AbortCause, UserAbortCountsAsAbortAndRetries) {
 // and nothing lands in the kUnknown bucket (every abort path is tagged).
 // ---------------------------------------------------------------------------
 
-struct ContendedWorkload final : Workload {
+struct ContendedWorkload final : MonoWorkload<ContendedWorkload> {
   TVar<long> a{0}, b{0};
-  void op(unsigned, Rng&) override {
-    atomically([&](Tx& tx) {
+  template <typename TxT>
+  void op_t(unsigned, Rng&) {
+    atomically<TxT>([&](TxT& tx) {
       const long v = a.get(tx);
       b.set(tx, v + 1);
       a.set(tx, a.get(tx) + 1);

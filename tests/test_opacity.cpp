@@ -1,11 +1,10 @@
-// History-level correctness tests, driven manually through the Tx API on
-// one thread so every interleaving is exact. These reproduce the paper's
-// Algorithm 1 (semantic false conflict), Algorithm 8 (opaque with the
-// extended API) and Algorithm 9 (not opaque — must abort), plus the
+// History-level correctness tests, driven by hand through two descriptor
+// cores on one thread so every interleaving is exact. These reproduce the
+// paper's Algorithm 1 (semantic false conflict), Algorithm 8 (opaque with
+// the extended API) and Algorithm 9 (not opaque — must abort), plus the
 // increment-concurrency property of §3/§5.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "semstm.hpp"
@@ -17,15 +16,19 @@ namespace {
 /// role of the scheduler by invoking operations in a scripted order.
 class History : public ::testing::TestWithParam<std::string> {
  protected:
-  void SetUp() override {
-    algo = make_algorithm(GetParam());
-    t1 = algo->make_tx();
-    t2 = algo->make_tx();
-    semantic = algo->semantic();
+  void SetUp() override { semantic = make_algorithm(GetParam())->semantic(); }
+
+  /// Runs `script(t1, t2)` on two cores of a fresh instance of the
+  /// parameter's algorithm, typed as that algorithm's core.
+  template <typename Script>
+  void run(Script&& script) {
+    dispatch_algorithm(GetParam(), [&](auto tag) {
+      typename decltype(tag)::algorithm_type algo;
+      typename decltype(tag)::tx_type t1(algo), t2(algo);
+      script(t1, t2);
+    });
   }
 
-  std::unique_ptr<Algorithm> algo;
-  std::unique_ptr<Tx> t1, t2;
   bool semantic = false;
 };
 
@@ -41,35 +44,37 @@ TEST_P(History, Algorithm1_SemanticFalseConflict) {
     // the global lock (mutual exclusion is covered elsewhere).
     GTEST_SKIP();
   }
-  TVar<long> x(5), y(5), out(0);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> x(5), y(5), out(0);
 
-  t1->begin();
-  EXPECT_TRUE(t1->cmp(x.word(), Rel::SGT, 0));
+    t1.begin();
+    EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
 
-  t2->begin();
-  t2->inc(x.word(), 1);                       // x++
-  t2->inc(y.word(), static_cast<word_t>(-1)); // y--
-  t2->commit();
-  EXPECT_EQ(x.unsafe_get(), 6);
-  EXPECT_EQ(y.unsafe_get(), 4);
+    t2.begin();
+    t2.inc(x.word(), 1);                       // x++
+    t2.inc(y.word(), static_cast<word_t>(-1)); // y--
+    t2.commit();
+    EXPECT_EQ(x.unsafe_get(), 6);
+    EXPECT_EQ(y.unsafe_get(), 4);
 
-  if (semantic) {
-    EXPECT_TRUE(t1->cmp(y.word(), Rel::SGT, 0));
-    t1->write(out.word(), 1);  // make T1 a writer so commit validates
-    t1->commit();              // must succeed: both conditions still hold
-    EXPECT_EQ(out.unsafe_get(), 1);
-  } else {
-    // NOrec: the y-access revalidates the read-set (x recorded by value).
-    // TL2: x's orec version now exceeds T1's start version.
-    EXPECT_THROW(
-        {
-          (void)t1->read(y.word());
-          t1->write(out.word(), 1);
-          t1->commit();
-        },
-        TxAbort);
-    t1->rollback();
-  }
+    if (semantic) {
+      EXPECT_TRUE(t1.cmp(y.word(), Rel::SGT, 0));
+      t1.write(out.word(), 1);  // make T1 a writer so commit validates
+      t1.commit();              // must succeed: both conditions still hold
+      EXPECT_EQ(out.unsafe_get(), 1);
+    } else {
+      // NOrec: the y-access revalidates the read-set (x recorded by value).
+      // TL2: x's orec version now exceeds T1's start version.
+      EXPECT_THROW(
+          {
+            (void)t1.read(y.word());
+            t1.write(out.word(), 1);
+            t1.commit();
+          },
+          TxAbort);
+      t1.rollback();
+    }
+  });
 }
 
 // For CGL the Algorithm 1 history cannot even be produced (see above), so
@@ -85,36 +90,38 @@ bool concurrent_capable(const std::string& name) { return name != "cgl"; }
 // ---------------------------------------------------------------------------
 TEST_P(History, Algorithm8_OpaqueWithSemanticApi) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> x(0), y(0), z(0);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> x(0), y(0), z(0);
 
-  t1->begin();
-  EXPECT_TRUE(t1->cmp(x.word(), Rel::SGE, 0));  // if (x >= 0)
+    t1.begin();
+    EXPECT_TRUE(t1.cmp(x.word(), Rel::SGE, 0));  // if (x >= 0)
 
-  t2->begin();
-  t2->write(x.word(), 1);
-  t2->write(y.word(), 1);
-  t2->commit();
+    t2.begin();
+    t2.write(x.word(), 1);
+    t2.write(y.word(), 1);
+    t2.commit();
 
-  if (GetParam() == "snorec") {
-    const word_t v = t1->read(y.word());  // revalidates: x >= 0 still true
-    t1->write(z.word(), v);
-    t1->commit();
-    EXPECT_EQ(z.unsafe_get(), 1);  // serialized after T2 — consistent
-  } else if (GetParam() == "stl2") {
-    EXPECT_THROW((void)t1->read(y.word()), TxAbort);
-    t1->rollback();
-  } else {
-    // Base algorithms abort too (value/version validation fails).
-    EXPECT_THROW(
-        {
-          const word_t v = t1->read(y.word());
-          t1->write(z.word(), v);
-          t1->commit();
-        },
-        TxAbort);
-    t1->rollback();
-    EXPECT_EQ(z.unsafe_get(), 0);
-  }
+    if (GetParam() == "snorec") {
+      const word_t v = t1.read(y.word());  // revalidates: x >= 0 still true
+      t1.write(z.word(), v);
+      t1.commit();
+      EXPECT_EQ(z.unsafe_get(), 1);  // serialized after T2 — consistent
+    } else if (GetParam() == "stl2") {
+      EXPECT_THROW((void)t1.read(y.word()), TxAbort);
+      t1.rollback();
+    } else {
+      // Base algorithms abort too (value/version validation fails).
+      EXPECT_THROW(
+          {
+            const word_t v = t1.read(y.word());
+            t1.write(z.word(), v);
+            t1.commit();
+          },
+          TxAbort);
+      t1.rollback();
+      EXPECT_EQ(z.unsafe_get(), 0);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -125,34 +132,36 @@ TEST_P(History, Algorithm8_OpaqueWithSemanticApi) {
 // ---------------------------------------------------------------------------
 TEST_P(History, Algorithm9_MustAbort) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> x(0), y(0), z(0);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> x(0), y(0), z(0);
 
-  t1->begin();
-  const word_t zy = t1->read(y.word());  // z = y reads 0
-  EXPECT_EQ(zy, 0u);
+    t1.begin();
+    const word_t zy = t1.read(y.word());  // z = y reads 0
+    EXPECT_EQ(zy, 0u);
 
-  t2->begin();
-  t2->write(x.word(), 1);
-  t2->write(y.word(), 1);
-  t2->commit();
+    t2.begin();
+    t2.write(x.word(), 1);
+    t2.write(y.word(), 1);
+    t2.commit();
 
-  // T1 now evaluates if (x >= 1). Observing x == 1 while having read
-  // y == 0 would be inconsistent. The cmp (or the subsequent commit) must
-  // abort; it must never commit having observed the condition as true.
-  bool committed_true = false;
-  try {
-    if (t1->cmp(x.word(), Rel::SGE, 1)) {
-      t1->write(z.word(), 1);
-      t1->commit();
-      committed_true = true;
-    } else {
-      t1->commit();  // observing false is consistent (serialize before T2)
+    // T1 now evaluates if (x >= 1). Observing x == 1 while having read
+    // y == 0 would be inconsistent. The cmp (or the subsequent commit) must
+    // abort; it must never commit having observed the condition as true.
+    bool committed_true = false;
+    try {
+      if (t1.cmp(x.word(), Rel::SGE, 1)) {
+        t1.write(z.word(), 1);
+        t1.commit();
+        committed_true = true;
+      } else {
+        t1.commit();  // observing false is consistent (serialize before T2)
+      }
+    } catch (const TxAbort&) {
+      t1.rollback();
     }
-  } catch (const TxAbort&) {
-    t1->rollback();
-  }
-  EXPECT_FALSE(committed_true);
-  EXPECT_EQ(z.unsafe_get(), 0);
+    EXPECT_FALSE(committed_true);
+    EXPECT_EQ(z.unsafe_get(), 0);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -162,24 +171,26 @@ TEST_P(History, Algorithm9_MustAbort) {
 // ---------------------------------------------------------------------------
 TEST_P(History, ConcurrentIncrementsBothCommit) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> counter(10);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> counter(10);
 
-  t1->begin();
-  t1->inc(counter.word(), 1);
+    t1.begin();
+    t1.inc(counter.word(), 1);
 
-  t2->begin();
-  t2->inc(counter.word(), 1);
-  t2->commit();
+    t2.begin();
+    t2.inc(counter.word(), 1);
+    t2.commit();
 
-  if (semantic) {
-    t1->commit();  // delta applied to post-T2 memory
-    EXPECT_EQ(counter.unsafe_get(), 12);
-  } else {
-    // inc delegated to read+write: T1's read of `counter` is now stale.
-    EXPECT_THROW(t1->commit(), TxAbort);
-    t1->rollback();
-    EXPECT_EQ(counter.unsafe_get(), 11);
-  }
+    if (semantic) {
+      t1.commit();  // delta applied to post-T2 memory
+      EXPECT_EQ(counter.unsafe_get(), 12);
+    } else {
+      // inc delegated to read+write: T1's read of `counter` is now stale.
+      EXPECT_THROW(t1.commit(), TxAbort);
+      t1.rollback();
+      EXPECT_EQ(counter.unsafe_get(), 11);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -189,30 +200,32 @@ TEST_P(History, ConcurrentIncrementsBothCommit) {
 // ---------------------------------------------------------------------------
 TEST_P(History, DequeueSurvivesConcurrentEnqueue) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> head(0), tail(3);  // non-empty queue
+  run([&](auto& t1, auto& t2) {
+    TVar<long> head(0), tail(3);  // non-empty queue
 
-  t1->begin();
-  const bool empty = t1->cmp2(head.word(), Rel::EQ, tail.word());
-  EXPECT_FALSE(empty);
+    t1.begin();
+    const bool empty = t1.cmp2(head.word(), Rel::EQ, tail.word());
+    EXPECT_FALSE(empty);
 
-  t2->begin();  // concurrent enqueue: tail++
-  t2->inc(tail.word(), 1);
-  t2->commit();
+    t2.begin();  // concurrent enqueue: tail++
+    t2.inc(tail.word(), 1);
+    t2.commit();
 
-  if (semantic) {
-    t1->inc(head.word(), 1);  // head++ completes the dequeue
-    t1->commit();
-    EXPECT_EQ(head.unsafe_get(), 1);
-    EXPECT_EQ(tail.unsafe_get(), 4);
-  } else {
-    EXPECT_THROW(
-        {
-          t1->write(head.word(), t1->read(head.word()) + 1);
-          t1->commit();
-        },
-        TxAbort);
-    t1->rollback();
-  }
+    if (semantic) {
+      t1.inc(head.word(), 1);  // head++ completes the dequeue
+      t1.commit();
+      EXPECT_EQ(head.unsafe_get(), 1);
+      EXPECT_EQ(tail.unsafe_get(), 4);
+    } else {
+      EXPECT_THROW(
+          {
+            t1.write(head.word(), t1.read(head.word()) + 1);
+            t1.commit();
+          },
+          TxAbort);
+      t1.rollback();
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -222,23 +235,25 @@ TEST_P(History, DequeueSurvivesConcurrentEnqueue) {
 // ---------------------------------------------------------------------------
 TEST_P(History, WriteAfterReadStillValidated) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> x(1);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> x(1);
 
-  t1->begin();
-  const word_t v = t1->read(x.word());
+    t1.begin();
+    const word_t v = t1.read(x.word());
 
-  t2->begin();
-  t2->write(x.word(), 50);
-  t2->commit();
+    t2.begin();
+    t2.write(x.word(), 50);
+    t2.commit();
 
-  EXPECT_THROW(
-      {
-        t1->write(x.word(), v + 1);
-        t1->commit();
-      },
-      TxAbort);
-  t1->rollback();
-  EXPECT_EQ(x.unsafe_get(), 50);
+    EXPECT_THROW(
+        {
+          t1.write(x.word(), v + 1);
+          t1.commit();
+        },
+        TxAbort);
+    t1.rollback();
+    EXPECT_EQ(x.unsafe_get(), 50);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -247,23 +262,25 @@ TEST_P(History, WriteAfterReadStillValidated) {
 // ---------------------------------------------------------------------------
 TEST_P(History, SemanticTrueConflictAborts) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> x(5), out(0);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> x(5), out(0);
 
-  t1->begin();
-  EXPECT_TRUE(t1->cmp(x.word(), Rel::SGT, 0));
+    t1.begin();
+    EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
 
-  t2->begin();
-  t2->write(x.word(), -1);  // flips the condition
-  t2->commit();
+    t2.begin();
+    t2.write(x.word(), -1);  // flips the condition
+    t2.commit();
 
-  EXPECT_THROW(
-      {
-        t1->write(out.word(), 1);
-        t1->commit();
-      },
-      TxAbort);
-  t1->rollback();
-  EXPECT_EQ(out.unsafe_get(), 0);
+    EXPECT_THROW(
+        {
+          t1.write(out.word(), 1);
+          t1.commit();
+        },
+        TxAbort);
+    t1.rollback();
+    EXPECT_EQ(out.unsafe_get(), 0);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -274,60 +291,64 @@ TEST_P(History, SemanticTrueConflictAborts) {
 // ---------------------------------------------------------------------------
 TEST_P(History, WholeClauseSurvivesOneFlippedDisjunct) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> x(5), y(5), out(0);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> x(5), y(5), out(0);
 
-  t1->begin();
-  const CmpTerm clause[2] = {
-      term<long>(x, Rel::SGT, 0),
-      term<long>(y, Rel::SGT, 0),
-  };
-  EXPECT_TRUE(t1->cmp_or(clause, 2));
+    t1.begin();
+    const CmpTerm clause[2] = {
+        term<long>(x, Rel::SGT, 0),
+        term<long>(y, Rel::SGT, 0),
+    };
+    EXPECT_TRUE(t1.cmp_or(clause, 2));
 
-  t2->begin();
-  t2->write(x.word(), to_word<long>(-10));  // x > 0 flips ...
-  t2->commit();                             // ... but y > 0 still holds
+    t2.begin();
+    t2.write(x.word(), to_word<long>(-10));  // x > 0 flips ...
+    t2.commit();                             // ... but y > 0 still holds
 
-  if (semantic) {
-    t1->write(out.word(), 1);
-    t1->commit();  // the OR outcome is preserved: commit succeeds
-    EXPECT_EQ(out.unsafe_get(), 1);
-  } else {
-    // Non-semantic algorithms evaluated the clause via plain reads of x
-    // (short-circuit stopped there), so the value validation fails.
-    EXPECT_THROW(
-        {
-          t1->write(out.word(), 1);
-          t1->commit();
-        },
-        TxAbort);
-    t1->rollback();
-  }
+    if (semantic) {
+      t1.write(out.word(), 1);
+      t1.commit();  // the OR outcome is preserved: commit succeeds
+      EXPECT_EQ(out.unsafe_get(), 1);
+    } else {
+      // Non-semantic algorithms evaluated the clause via plain reads of x
+      // (short-circuit stopped there), so the value validation fails.
+      EXPECT_THROW(
+          {
+            t1.write(out.word(), 1);
+            t1.commit();
+          },
+          TxAbort);
+      t1.rollback();
+    }
+  });
 }
 
 TEST_P(History, WholeClauseAbortsWhenOutcomeFlips) {
   if (!concurrent_capable(GetParam())) GTEST_SKIP();
-  TVar<long> x(5), y(5), out(0);
+  run([&](auto& t1, auto& t2) {
+    TVar<long> x(5), y(5), out(0);
 
-  t1->begin();
-  const CmpTerm clause[2] = {
-      term<long>(x, Rel::SGT, 0),
-      term<long>(y, Rel::SGT, 0),
-  };
-  EXPECT_TRUE(t1->cmp_or(clause, 2));
+    t1.begin();
+    const CmpTerm clause[2] = {
+        term<long>(x, Rel::SGT, 0),
+        term<long>(y, Rel::SGT, 0),
+    };
+    EXPECT_TRUE(t1.cmp_or(clause, 2));
 
-  t2->begin();
-  t2->write(x.word(), to_word<long>(-1));  // both disjuncts now false:
-  t2->write(y.word(), to_word<long>(-1));  // a true semantic conflict
-  t2->commit();
+    t2.begin();
+    t2.write(x.word(), to_word<long>(-1));  // both disjuncts now false:
+    t2.write(y.word(), to_word<long>(-1));  // a true semantic conflict
+    t2.commit();
 
-  EXPECT_THROW(
-      {
-        t1->write(out.word(), 1);
-        t1->commit();
-      },
-      TxAbort);
-  t1->rollback();
-  EXPECT_EQ(out.unsafe_get(), 0);
+    EXPECT_THROW(
+        {
+          t1.write(out.word(), 1);
+          t1.commit();
+        },
+        TxAbort);
+    t1.rollback();
+    EXPECT_EQ(out.unsafe_get(), 0);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, History,

@@ -1,10 +1,8 @@
 // Scripted histories targeting the sharpest algorithm-specific behaviour:
 // S-TL2's three-phase execution (§4.2) and both S-algorithms' increment
-// promotion under concurrency. Driven manually through the Tx API so each
-// interleaving is exact.
+// promotion under concurrency. Driven by hand through descriptor cores so
+// each interleaving is exact.
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "semstm.hpp"
 
@@ -13,14 +11,22 @@ namespace {
 
 class Stl2Phases : public ::testing::Test {
  protected:
-  void SetUp() override {
-    algo = make_algorithm("stl2");
-    t1 = algo->make_tx();
-    t2 = algo->make_tx();
-  }
-  std::unique_ptr<Algorithm> algo;
-  std::unique_ptr<Tx> t1, t2;
+  Stl2Algorithm algo;
+  Stl2Core t1{algo}, t2{algo};
 };
+
+/// Runs `script(name, t1, t2)` on two cores of a fresh S-NOrec instance,
+/// then of a fresh S-TL2 instance.
+template <typename Script>
+void for_semantic_cores(Script&& script) {
+  for (const char* name : {"snorec", "stl2"}) {
+    dispatch_algorithm(name, [&](auto tag) {
+      typename decltype(tag)::algorithm_type algo;
+      typename decltype(tag)::tx_type t1(algo), t2(algo);
+      script(name, t1, t2);
+    });
+  }
+}
 
 // Phase 1: while a transaction has performed only cmps, a concurrent
 // commit does not kill it — the start version is *extended* after
@@ -28,19 +34,19 @@ class Stl2Phases : public ::testing::Test {
 TEST_F(Stl2Phases, Phase1ExtendsAcrossConcurrentCommit) {
   TVar<long> x(5), y(5), z(0), out(0);
 
-  t1->begin();
-  EXPECT_TRUE(t1->cmp(x.word(), Rel::SGT, 0));
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
 
-  t2->begin();
-  t2->write(z.word(), 1);  // unrelated commit bumps the global clock
-  t2->commit();
+  t2.begin();
+  t2.write(z.word(), 1);  // unrelated commit bumps the global clock
+  t2.commit();
 
   // y's orec carries version 0 <= old start, but the extension machinery
   // must also accept a cmp on the *freshly written* z.
-  EXPECT_TRUE(t1->cmp(y.word(), Rel::SGT, 0));
-  EXPECT_TRUE(t1->cmp(z.word(), Rel::SGE, 0));  // orec version > start: extend
-  t1->write(out.word(), 1);
-  t1->commit();
+  EXPECT_TRUE(t1.cmp(y.word(), Rel::SGT, 0));
+  EXPECT_TRUE(t1.cmp(z.word(), Rel::SGE, 0));  // orec version > start: extend
+  t1.write(out.word(), 1);
+  t1.commit();
   EXPECT_EQ(out.unsafe_get(), 1);
 }
 
@@ -49,18 +55,18 @@ TEST_F(Stl2Phases, Phase1ExtendsAcrossConcurrentCommit) {
 TEST_F(Stl2Phases, ExtensionAbortsOnFlippedOutcome) {
   TVar<long> x(5), z(0);
 
-  t1->begin();
-  EXPECT_TRUE(t1->cmp(x.word(), Rel::SGT, 0));
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
 
-  t2->begin();
-  t2->write(x.word(), to_word<long>(-1));  // flips x > 0
-  t2->write(z.word(), 7);
-  t2->commit();
+  t2.begin();
+  t2.write(x.word(), to_word<long>(-1));  // flips x > 0
+  t2.write(z.word(), 7);
+  t2.commit();
 
   // The next cmp touches z (orec version > start) and triggers the
   // extension, whose compare-set validation must fail on x.
-  EXPECT_THROW((void)t1->cmp(z.word(), Rel::SGE, 0), TxAbort);
-  t1->rollback();
+  EXPECT_THROW((void)t1.cmp(z.word(), Rel::SGE, 0), TxAbort);
+  t1.rollback();
 }
 
 // Phase 2: after the first plain read the snapshot freezes; a cmp on a
@@ -69,15 +75,15 @@ TEST_F(Stl2Phases, ExtensionAbortsOnFlippedOutcome) {
 TEST_F(Stl2Phases, Phase2FreezesSnapshot) {
   TVar<long> x(5), z(0);
 
-  t1->begin();
-  (void)t1->read(z.word());  // enters phase 2
+  t1.begin();
+  (void)t1.read(z.word());  // enters phase 2
 
-  t2->begin();
-  t2->write(x.word(), 6);
-  t2->commit();
+  t2.begin();
+  t2.write(x.word(), 6);
+  t2.commit();
 
-  EXPECT_THROW((void)t1->cmp(x.word(), Rel::SGT, 0), TxAbort);
-  t1->rollback();
+  EXPECT_THROW((void)t1.cmp(x.word(), Rel::SGT, 0), TxAbort);
+  t1.rollback();
 }
 
 // The same interleaving with the cmp *before* the read commits fine:
@@ -85,16 +91,16 @@ TEST_F(Stl2Phases, Phase2FreezesSnapshot) {
 TEST_F(Stl2Phases, CmpBeforeReadSurvivesWhatCmpAfterReadCannot) {
   TVar<long> x(5), z(0), out(0);
 
-  t1->begin();
-  EXPECT_TRUE(t1->cmp(x.word(), Rel::SGT, 0));
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
 
-  t2->begin();
-  t2->write(x.word(), 6);  // x > 0 still true
-  t2->commit();
+  t2.begin();
+  t2.write(x.word(), 6);  // x > 0 still true
+  t2.commit();
 
-  (void)t1->read(z.word());  // first plain read: z's orec is old — fine
-  t1->write(out.word(), 1);
-  t1->commit();
+  (void)t1.read(z.word());  // first plain read: z's orec is old — fine
+  t1.write(out.word(), 1);
+  t1.commit();
   EXPECT_EQ(out.unsafe_get(), 1);
 }
 
@@ -104,15 +110,15 @@ TEST_F(Stl2Phases, AllCmpReadOnlyTransactionRidesThroughCommits) {
   TVar<long> xs[4] = {TVar<long>(1), TVar<long>(2), TVar<long>(3),
                       TVar<long>(4)};
 
-  t1->begin();
+  t1.begin();
   for (int round = 0; round < 4; ++round) {
-    t2->begin();
-    t2->inc(xs[static_cast<std::size_t>(round)].word(), 10);  // stays > 0
-    t2->commit();
+    t2.begin();
+    t2.inc(xs[static_cast<std::size_t>(round)].word(), 10);  // stays > 0
+    t2.commit();
     EXPECT_TRUE(
-        t1->cmp(xs[static_cast<std::size_t>(round)].word(), Rel::SGT, 0));
+        t1.cmp(xs[static_cast<std::size_t>(round)].word(), Rel::SGT, 0));
   }
-  t1->commit();  // read-only: free
+  t1.commit();  // read-only: free
 }
 
 // ---------------------------------------------------------------------------
@@ -120,64 +126,59 @@ TEST_F(Stl2Phases, AllCmpReadOnlyTransactionRidesThroughCommits) {
 // ---------------------------------------------------------------------------
 
 TEST(PromotionConcurrency, SnorecPromotionReadsPostCommitValue) {
-  auto algo = make_algorithm("snorec");
-  auto t1 = algo->make_tx();
-  auto t2 = algo->make_tx();
+  SnorecAlgorithm algo;
+  SnorecCore t1(algo), t2(algo);
   TVar<long> x(0);
 
-  t1->begin();
-  t1->inc(x.word(), 5);  // deferred delta
+  t1.begin();
+  t1.inc(x.word(), 5);  // deferred delta
 
-  t2->begin();
-  t2->write(x.word(), 100);
-  t2->commit();
+  t2.begin();
+  t2.write(x.word(), 100);
+  t2.commit();
 
   // Reading x back promotes the increment; ReadValid revalidates (empty
   // read-set: fine) and observes T2's 100 — T1 serializes after T2.
-  EXPECT_EQ(from_word<long>(t1->read(x.word())), 105);
-  t1->commit();
+  EXPECT_EQ(from_word<long>(t1.read(x.word())), 105);
+  t1.commit();
   EXPECT_EQ(x.unsafe_get(), 105);
 }
 
 TEST(PromotionConcurrency, Stl2PromotionAbortsOnStaleOrec) {
-  auto algo = make_algorithm("stl2");
-  auto t1 = algo->make_tx();
-  auto t2 = algo->make_tx();
+  Stl2Algorithm algo;
+  Stl2Core t1(algo), t2(algo);
   TVar<long> x(0);
 
-  t1->begin();
-  t1->inc(x.word(), 5);
+  t1.begin();
+  t1.inc(x.word(), 5);
 
-  t2->begin();
-  t2->write(x.word(), 100);
-  t2->commit();
+  t2.begin();
+  t2.write(x.word(), 100);
+  t2.commit();
 
   // The promotion's read part goes through TL2's versioned read, which
   // finds x's orec beyond the frozen start version.
-  EXPECT_THROW((void)t1->read(x.word()), TxAbort);
-  t1->rollback();
+  EXPECT_THROW((void)t1.read(x.word()), TxAbort);
+  t1.rollback();
   EXPECT_EQ(x.unsafe_get(), 100);
 }
 
 TEST(PromotionConcurrency, UnpromotedIncrementStillCommutes) {
   // Contrast case: without the read-back, both S-algorithms commit the
   // delta over T2's value.
-  for (const char* name : {"snorec", "stl2"}) {
-    auto algo = make_algorithm(name);
-    auto t1 = algo->make_tx();
-    auto t2 = algo->make_tx();
+  for_semantic_cores([](const char* name, auto& t1, auto& t2) {
     TVar<long> x(0);
 
-    t1->begin();
-    t1->inc(x.word(), 5);
+    t1.begin();
+    t1.inc(x.word(), 5);
 
-    t2->begin();
-    t2->write(x.word(), 100);
-    t2->commit();
+    t2.begin();
+    t2.write(x.word(), 100);
+    t2.commit();
 
-    t1->commit();
+    t1.commit();
     EXPECT_EQ(x.unsafe_get(), 105) << name;
-  }
+  });
 }
 
 // Write-after-write across cmp_or: a clause over an address the same
@@ -185,36 +186,32 @@ TEST(PromotionConcurrency, UnpromotedIncrementStillCommutes) {
 // predates the write, which is buffered) — the classic WAR coverage of
 // §4.1 extended to clauses.
 TEST(ClauseInteractions, ClauseThenWriteSameAddressCommits) {
-  for (const char* name : {"snorec", "stl2"}) {
-    auto algo = make_algorithm(name);
-    auto t1 = algo->make_tx();
+  for_semantic_cores([](const char* name, auto& t1, auto&) {
     TVar<long> x(5), y(0);
 
-    t1->begin();
+    t1.begin();
     const CmpTerm clause[2] = {term<long>(x, Rel::SGT, 0),
                                term<long>(y, Rel::SGT, 0)};
-    EXPECT_TRUE(t1->cmp_or(clause, 2));
-    t1->write(x.word(), 9);  // buffered; memory still 5
-    t1->commit();
+    EXPECT_TRUE(t1.cmp_or(clause, 2));
+    t1.write(x.word(), 9);  // buffered; memory still 5
+    t1.commit();
     EXPECT_EQ(x.unsafe_get(), 9) << name;
-  }
+  });
 }
 
 // And the reverse order: a clause over buffered addresses must observe
 // the buffered values (read-after-write for cmp_or).
 TEST(ClauseInteractions, ClauseSeesBufferedWrites) {
-  for (const char* name : {"snorec", "stl2"}) {
-    auto algo = make_algorithm(name);
-    auto t1 = algo->make_tx();
+  for_semantic_cores([](const char* name, auto& t1, auto&) {
     TVar<long> x(-5), y(-5);
 
-    t1->begin();
-    t1->write(x.word(), 3);
+    t1.begin();
+    t1.write(x.word(), 3);
     const CmpTerm clause[2] = {term<long>(x, Rel::SGT, 0),
                                term<long>(y, Rel::SGT, 0)};
-    EXPECT_TRUE(t1->cmp_or(clause, 2)) << name;  // buffered x = 3 > 0
-    t1->commit();
-  }
+    EXPECT_TRUE(t1.cmp_or(clause, 2)) << name;  // buffered x = 3 > 0
+    t1.commit();
+  });
 }
 
 }  // namespace

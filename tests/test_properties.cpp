@@ -17,7 +17,7 @@
 
 #include "semstm.hpp"
 #include "util/rng.hpp"
-#include "workloads/driver.hpp"
+#include "workloads/mono.hpp"
 
 namespace semstm {
 namespace {
@@ -54,7 +54,7 @@ TEST_P(SequentialSpec, RandomProgramMatchesReference) {
     const bool user_abort = rng.percent(10);
     struct UserAbort {};
     try {
-      atomically([&](Tx& tx) {
+      atomically([&](auto& tx) {
         const unsigned ops = 1 + static_cast<unsigned>(rng.below(12));
         for (unsigned o = 0; o < ops; ++o) {
           const auto v = static_cast<std::size_t>(rng.below(kVars));
@@ -127,18 +127,19 @@ class ConcurrentConservation : public ::testing::TestWithParam<ConsParam> {};
 constexpr std::size_t kVars = 8;
 constexpr std::int64_t kInit = 500;
 
-class TransferWorkload final : public Workload {
+class TransferWorkload final : public MonoWorkload<TransferWorkload> {
  public:
   TransferWorkload() {
       for (auto& v : vars) v = std::make_unique<TVar<std::int64_t>>(kInit);
     }
-    void op(unsigned, Rng& rng) override {
+    template <typename TxT>
+    void op_t(unsigned, Rng& rng) {
       const auto a = static_cast<std::size_t>(rng.below(kVars));
       const auto b = static_cast<std::size_t>(rng.below(kVars));
       if (a == b) return;
       const std::int64_t d = rng.between(1, 20);
       const unsigned style = static_cast<unsigned>(rng.below(3));
-      atomically([&](Tx& tx) {
+      atomically<TxT>([&](TxT& tx) {
         switch (style) {
           case 0:  // semantic guarded transfer
             if (vars[a]->gte(tx, d)) {

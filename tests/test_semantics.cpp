@@ -91,7 +91,7 @@ TEST_P(RawPromotion, ReadAfterIncPromotesExactlyOnce) {
   CtxBinder bind(ctx);
   TVar<long> v(100);
 
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     v.add(tx, 7);
     EXPECT_EQ(v.get(tx), 107);  // promotion: delta folded over observed value
     EXPECT_EQ(v.get(tx), 107);  // second read hits the promoted WRITE entry
@@ -107,7 +107,7 @@ TEST_P(RawPromotion, IncAfterPromotionAccumulatesOverWriteEntry) {
   CtxBinder bind(ctx);
   TVar<long> v(10);
 
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     v.add(tx, 5);
     EXPECT_EQ(v.get(tx), 15);  // promotes the entry to WRITE(15)
     v.add(tx, 2);              // merges into the WRITE, no second promotion
@@ -123,7 +123,7 @@ TEST_P(RawPromotion, ReadBeforeIncDoesNotPromote) {
   CtxBinder bind(ctx);
   TVar<long> v(3);
 
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     EXPECT_EQ(v.get(tx), 3);  // plain read; nothing buffered yet
     v.add(tx, 4);             // delta entry, applied blind at commit
   });
@@ -137,7 +137,7 @@ TEST_P(RawPromotion, DecThenReadPromotesNegativeDelta) {
   CtxBinder bind(ctx);
   TVar<long> v(50);
 
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     v.sub(tx, 8);
     EXPECT_EQ(v.get(tx), 42);  // wrapped delta + observed value reads right
   });
@@ -152,7 +152,7 @@ TEST_P(RawPromotion, CmpOverPendingIncPromotesToo) {
   CtxBinder bind(ctx);
   TVar<long> v(1);
 
-  atomically([&](Tx& tx) {
+  atomically([&](auto& tx) {
     v.add(tx, 1);
     EXPECT_TRUE(v.eq(tx, 2));  // evaluates against the promoted value
   });

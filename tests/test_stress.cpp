@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "semstm.hpp"
-#include "workloads/driver.hpp"
+#include "workloads/mono.hpp"
 
 namespace semstm {
 namespace {
@@ -36,10 +36,11 @@ class Stress : public ::testing::TestWithParam<Param> {
 };
 
 /// N threads increment one shared counter: the classic lost-update test.
-class CounterWorkload final : public Workload {
+class CounterWorkload final : public MonoWorkload<CounterWorkload> {
  public:
-  void op(unsigned, Rng&) override {
-    atomically([&](Tx& tx) { counter.add(tx, 1); });
+  template <typename TxT>
+  void op_t(unsigned, Rng&) {
+    atomically<TxT>([&](TxT& tx) { counter.add(tx, 1); });
   }
   TVar<long> counter{0};
 };
@@ -54,7 +55,7 @@ TEST_P(Stress, SharedCounterLosesNoUpdates) {
 
 /// Bank transfers with overdraft checks: total money is conserved and no
 /// account may go negative (the overdraft check uses the semantic gte).
-class BankWorkload final : public Workload {
+class BankWorkload final : public MonoWorkload<BankWorkload> {
  public:
   static constexpr int kAccounts = 32;
   static constexpr long kInitial = 1000;
@@ -63,12 +64,13 @@ class BankWorkload final : public Workload {
     for (auto& a : accounts_) a = std::make_unique<TVar<long>>(kInitial);
   }
 
-  void op(unsigned, Rng& rng) override {
+  template <typename TxT>
+  void op_t(unsigned, Rng& rng) {
     const auto src = static_cast<std::size_t>(rng.below(kAccounts));
     const auto dst = static_cast<std::size_t>(rng.below(kAccounts));
     if (src == dst) return;
     const long amount = rng.between(1, 100);
-    atomically([&](Tx& tx) {
+    atomically<TxT>([&](TxT& tx) {
       if (accounts_[src]->gte(tx, amount)) {
         accounts_[src]->sub(tx, amount);
         accounts_[dst]->add(tx, amount);
@@ -98,18 +100,19 @@ TEST_P(Stress, BankConservesMoney) {
 
 /// Read-mostly snapshot consistency: writers keep x + y == 0; readers must
 /// never observe a violated invariant inside a transaction.
-class SnapshotWorkload final : public Workload {
+class SnapshotWorkload final : public MonoWorkload<SnapshotWorkload> {
  public:
-  void op(unsigned tid, Rng& rng) override {
+  template <typename TxT>
+  void op_t(unsigned tid, Rng& rng) {
     if (tid == 0) {  // writer
       const long d = rng.between(1, 9);
-      atomically([&](Tx& tx) {
+      atomically<TxT>([&](TxT& tx) {
         x.add(tx, d);
         y.sub(tx, d);
       });
     } else {  // readers
-      const long sum = atomically(
-          [&](Tx& tx) { return x.get(tx) + y.get(tx); });
+      const long sum = atomically<TxT>(
+          [&](TxT& tx) { return x.get(tx) + y.get(tx); });
       EXPECT_EQ(sum, 0) << "reader observed a torn snapshot";
     }
   }
@@ -124,26 +127,27 @@ TEST_P(Stress, ReadersSeeConsistentSnapshots) {
 
 /// Mixed semantic/non-semantic access to the same variables (§4.1's
 /// interaction cases) under contention.
-class MixedWorkload final : public Workload {
+class MixedWorkload final : public MonoWorkload<MixedWorkload> {
  public:
-  void op(unsigned, Rng& rng) override {
+  template <typename TxT>
+  void op_t(unsigned, Rng& rng) {
     switch (rng.below(4)) {
       case 0:  // semantic conditional + inc
-        atomically([&](Tx& tx) {
+        atomically<TxT>([&](TxT& tx) {
           if (v.gt(tx, 0)) v.sub(tx, 1);
         });
         break;
       case 1:  // plain read-modify-write
-        atomically([&](Tx& tx) { v.set(tx, v.get(tx) + 2); });
+        atomically<TxT>([&](TxT& tx) { v.set(tx, v.get(tx) + 2); });
         break;
       case 2:  // inc then read (forces promotion in semantic algorithms)
-        atomically([&](Tx& tx) {
+        atomically<TxT>([&](TxT& tx) {
           v.add(tx, 1);
           (void)v.get(tx);
         });
         break;
       default:  // read-only
-        (void)atomically([&](Tx& tx) { return v.get(tx); });
+        (void)atomically<TxT>([&](TxT& tx) { return v.get(tx); });
         break;
     }
   }
@@ -188,16 +192,29 @@ INSTANTIATE_TEST_SUITE_P(
 // Simulator-only determinism and contention sanity.
 // ---------------------------------------------------------------------------
 
+/// A hot counter through plain read + write.
+class HotCounter final : public MonoWorkload<HotCounter> {
+ public:
+  template <typename TxT>
+  void op_t(unsigned, Rng&) {
+    atomically<TxT>([&](TxT& tx) { v.set(tx, v.get(tx) + 1); });
+  }
+  TVar<long> v{0};
+};
+
+/// The same counter through the semantic increment.
+class IncCounter final : public MonoWorkload<IncCounter> {
+ public:
+  template <typename TxT>
+  void op_t(unsigned, Rng&) {
+    atomically<TxT>([&](TxT& tx) { v.add(tx, 1); });
+  }
+  TVar<long> v{0};
+};
+
 TEST(StressSim, OptimisticAlgorithmsAbortUnderContention) {
   // Sanity check that the simulator actually produces conflicts: a hot
   // counter via plain read+write must abort sometimes under NOrec.
-  class HotCounter final : public Workload {
-   public:
-    void op(unsigned, Rng&) override {
-      atomically([&](Tx& tx) { v.set(tx, v.get(tx) + 1); });
-    }
-    TVar<long> v{0};
-  };
   HotCounter w;
   RunConfig cfg;
   cfg.algo = "norec";
@@ -212,13 +229,6 @@ TEST(StressSim, OptimisticAlgorithmsAbortUnderContention) {
 TEST(StressSim, SemanticIncrementEliminatesCounterAborts) {
   // The headline mechanism: with TM_INC the hot counter has no read-set at
   // all, so S-NOrec commits every attempt first time.
-  class IncCounter final : public Workload {
-   public:
-    void op(unsigned, Rng&) override {
-      atomically([&](Tx& tx) { v.add(tx, 1); });
-    }
-    TVar<long> v{0};
-  };
   IncCounter w;
   RunConfig cfg;
   cfg.algo = "snorec";

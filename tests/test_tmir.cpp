@@ -29,7 +29,7 @@ class TmirFixture : public ::testing::Test {
 
   word_t run(const Function& f, std::initializer_list<word_t> args,
              InterpOptions opts = {}) {
-    return atomically([&](Tx& tx) {
+    return atomically([&](auto& tx) {
       return execute(tx, f, args.begin(), args.size(), opts);
     });
   }
@@ -296,9 +296,9 @@ TEST_P(KernelEquivalence, HashKernelsMatchAcrossPipelines) {
     auto aa = word_args(states_a, keys_a, start, key);
     auto ab = word_args(states_b, keys_b, start, key);
     const word_t ra = atomically(
-        [&](Tx& tx) { return execute(tx, raw, aa.data(), aa.size()); });
+        [&](auto& tx) { return execute(tx, raw, aa.data(), aa.size()); });
     const word_t rb = atomically(
-        [&](Tx& tx) { return execute(tx, opt, ab.data(), ab.size()); });
+        [&](auto& tx) { return execute(tx, opt, ab.data(), ab.size()); });
     ASSERT_EQ(ra, rb) << "step " << step << " action " << action;
   }
   // The two tables must be bit-identical after the op sequence.
@@ -342,9 +342,9 @@ TEST_P(KernelEquivalence, ReserveKernelMatches) {
       ab[2 + q] = id;
     }
     const word_t ra = atomically(
-        [&](Tx& tx) { return execute(tx, raw, aa.data(), aa.size()); });
+        [&](auto& tx) { return execute(tx, raw, aa.data(), aa.size()); });
     const word_t rb = atomically(
-        [&](Tx& tx) { return execute(tx, opt, ab.data(), ab.size()); });
+        [&](auto& tx) { return execute(tx, opt, ab.data(), ab.size()); });
     ASSERT_EQ(ra, rb) << step;
   }
   for (std::size_t i = 0; i < kRecords; ++i) {
@@ -395,11 +395,11 @@ TEST_P(KernelEquivalence, CenterUpdateKernelMatches) {
       ac[1 + j] = fv;
     }
     const word_t ra = atomically(
-        [&](Tx& tx) { return execute(tx, raw, aa.data(), aa.size()); });
+        [&](auto& tx) { return execute(tx, raw, aa.data(), aa.size()); });
     const word_t rb = atomically(
-        [&](Tx& tx) { return execute(tx, base, ab.data(), ab.size()); });
+        [&](auto& tx) { return execute(tx, base, ab.data(), ab.size()); });
     const word_t rc = atomically(
-        [&](Tx& tx) { return execute(tx, opt, ac.data(), ac.size()); });
+        [&](auto& tx) { return execute(tx, opt, ac.data(), ac.size()); });
     ASSERT_EQ(ra, rb) << step;  // returned new length
     ASSERT_EQ(ra, rc) << step;
   }

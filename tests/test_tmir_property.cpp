@@ -225,7 +225,7 @@ class RandomIr : public ::testing::Test {
   }
   word_t run(const Function& f, const std::array<word_t, 4>& args) {
     return atomically(
-        [&](Tx& tx) { return execute(tx, f, args.data(), args.size()); });
+        [&](auto& tx) { return execute(tx, f, args.data(), args.size()); });
   }
   std::unique_ptr<Algorithm> algo_;
   std::unique_ptr<ThreadCtx> ctx_;
@@ -420,7 +420,7 @@ PipelineRun run_kernels(const std::string& algo_name, bool optimized) {
         }
       }
       out.results[tid].push_back(atomically(
-          [&](Tx& tx) { return execute(tx, *f, args.data(), nargs); }));
+          [&](auto& tx) { return execute(tx, *f, args.data(), nargs); }));
     }
   });
 

@@ -817,7 +817,7 @@ class InterpGuards : public ::testing::Test {
     binder_ = std::make_unique<CtxBinder>(*ctx_);
   }
   word_t run(const Function& f, std::initializer_list<word_t> args) {
-    return atomically([&](Tx& tx) {
+    return atomically([&](auto& tx) {
       return execute(tx, f, args.begin(), args.size());
     });
   }
