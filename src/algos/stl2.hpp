@@ -18,6 +18,10 @@
 //   Commit: write orecs locked, then the global timestamp is advanced with
 //   CAS (not fetch-add) after compare-set validation — the CAS failure
 //   loop re-validates, which is the serialization-point argument of §5.2.
+//   Validation is version-first: the orecs the cmp operands were loaded
+//   under are checked like a TL2 read-set, and the clauses are
+//   re-evaluated only when one of those orecs moved or is locked
+//   (DESIGN.md §4 item 4).
 //
 // Stl2Core is a sealed sibling of Tl2Core over the shared Tl2CoreT logic:
 // it shadows begin/commit/rollback and the raw() promotion hook and adds
@@ -25,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "algos/tl2.hpp"
 #include "runtime/backoff.hpp"
@@ -48,6 +53,7 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
 
   void begin() {
     compares_.clear();
+    cmp_orecs_.clear();
     Tl2CoreT::begin();
   }
 
@@ -156,11 +162,18 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
       // time + 1 == 0 would wrap the version clock (epoch end, tagged for
       // the cause histogram's completeness).
       if (time + 1 == 0) fail_locked(obs::AbortCause::kClockOverflow, nullptr);
-      // No waiting here: we hold write locks, and hold-and-wait across
-      // committers livelocks into timeout aborts. Fail fast instead —
-      // TL2's own ValidateReadSet makes the same choice.
-      if (time != start_version_ && !compare_set_holds(/*may_wait=*/false)) {
-        fail_locked(fail_cause_, conflict_, fail_orec_, fail_owner_);
+      // Version pass first; the clauses are re-evaluated only when an
+      // operand's orec moved. No waiting here: we hold write locks, and
+      // hold-and-wait across committers livelocks into timeout aborts.
+      // Fail fast instead — TL2's own ValidateReadSet makes the same choice.
+      if (time != start_version_ && !cmp_versions_hold()) {
+        if (!compare_set_holds(/*may_wait=*/false)) {
+          fail_locked(fail_cause_, conflict_, fail_orec_, fail_owner_);
+        }
+        // Every clause held at `time`. With no plain read to keep
+        // consistent that is a valid snapshot (the extension step, lines
+        // 19-25), so a lost CAS re-runs only the version pass.
+        if (reads_.empty()) start_version_ = time;
       }
       if (shared_.clock().try_advance(time)) break;
       // Another writer serialized between validation and CAS: its commit
@@ -216,6 +229,7 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
         const std::uint64_t v2 = o.version.load(std::memory_order_acquire);
         if (v1 != v2) continue;  // concurrent version move: retry (line 16)
         if (v1 > start_version_) phase1_pending_extend_ = true;
+        track_cmp_orec(&o);
         return val;
       }
     }
@@ -235,7 +249,42 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
       abort_tx(obs::AbortCause::kReadValidation, addr, orec_ix(&o),
                o.owner_hint());
     }
+    track_cmp_orec(&o);
     return val;
+  }
+
+  /// Record the orec a cmp operand was loaded under, deduplicated through
+  /// a direct-mapped cache of its own (the track_orec scheme). The list is
+  /// kept apart from reads_, whose emptiness is the phase-1 flag.
+  void track_cmp_orec(const Orec* o) {
+    const std::size_t slot = shared_.orecs().index(o) & (kSeenSlots - 1);
+    Seen& s = cmp_seen_[slot];
+    if (s.orec == o && s.epoch == attempt_epoch_) return;
+    s.orec = o;
+    s.epoch = attempt_epoch_;
+    cmp_orecs_.push_back(o);
+  }
+
+  /// Version pass over the compare-set, O(unique orecs). Every clause held
+  /// its recorded outcome at start_version_: phase-1 loads fit it or
+  /// extend it, phase-2 loads are bounded by it, and commit adopts a
+  /// timestamp only after re-evaluating every clause there. So when every
+  /// operand's orec is still unlocked by others and no newer than
+  /// start_version_, no operand changed and every clause keeps its
+  /// outcome. False only means "cannot tell from versions": the caller
+  /// re-evaluates the clauses.
+  bool cmp_versions_hold() {
+    obs::ScopedLatency lat(stats.lat_validate);
+    ++stats.validations;
+    for (const Orec* o : cmp_orecs_) {
+      sched::tick(sched::Cost::kValidateEntry);
+      ++stats.validate_entries;
+      if (o->locked_by_other(this) ||
+          o->version.load(std::memory_order_acquire) > start_version_) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Lines 19-25: validate the compare-set at a stable timestamp, then
@@ -262,6 +311,7 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   /// On failure fail_cause_/conflict_ carry the attribution: a stuck lock
   /// is a write-lock conflict, a flipped outcome a compare-set
   /// revalidation failure — the signature abort of the semantic design.
+  /// At commit it runs only when cmp_versions_hold() cannot vouch.
   bool compare_set_holds(bool may_wait) {
     obs::ScopedLatency lat(stats.lat_validate);
     ++stats.validations;
@@ -317,6 +367,8 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   }
 
   CompareSet compares_;
+  std::vector<const Orec*> cmp_orecs_;  ///< orecs of cmp operands, deduped
+  Seen cmp_seen_[kSeenSlots];           ///< dedup cache for cmp_orecs_
   bool phase1_pending_extend_ = false;
 };
 

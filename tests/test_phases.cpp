@@ -121,6 +121,120 @@ TEST_F(Stl2Phases, AllCmpReadOnlyTransactionRidesThroughCommits) {
   t1.commit();  // read-only: free
 }
 
+// Version-first commit validation: an unrelated concurrent commit moves the
+// clock, but no cmp operand's orec, so commit vouches for the compare-set
+// from versions alone — one validate entry per distinct orec, no clause
+// re-evaluated.
+TEST_F(Stl2Phases, UnrelatedCommitValidatesOnVersionsAlone) {
+  TVar<long> x(5), y(7), z(0), out(0);
+  Orec* const ox = &algo.orecs().of(x.word());
+  Orec* const oy = &algo.orecs().of(y.word());
+  Orec* const oz = &algo.orecs().of(z.word());
+  ASSERT_TRUE(oz != ox && oz != oy) << "z must not share a compared orec";
+
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SLT, 10));  // same orec: recorded once
+  EXPECT_TRUE(t1.cmp2(x.word(), Rel::SLT, y.word()));
+  t1.write(out.word(), 1);
+
+  t2.begin();
+  t2.write(z.word(), 1);
+  t2.commit();
+
+  const std::uint64_t before = t1.stats.validate_entries;
+  t1.commit();
+  EXPECT_EQ(t1.stats.validate_entries - before, ox == oy ? 1u : 2u);
+  EXPECT_EQ(out.unsafe_get(), 1);
+}
+
+// A concurrent write to a compared word moves its orec, so the version
+// pass cannot vouch; the semantic pass finds the outcome kept and commits.
+TEST_F(Stl2Phases, MovedOperandKeepingItsOutcomeCommitsSemantically) {
+  TVar<long> x(5), out(0);
+
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
+  t1.write(out.word(), 1);
+
+  t2.begin();
+  t2.write(x.word(), 6);  // x > 0 still true
+  t2.commit();
+
+  const std::uint64_t before = t1.stats.validate_entries;
+  t1.commit();
+  // One orec in the version pass, then one clause in the semantic pass.
+  EXPECT_EQ(t1.stats.validate_entries - before, 2u);
+  EXPECT_EQ(out.unsafe_get(), 1);
+}
+
+// The semantic fallback still catches a flipped outcome at commit, and
+// blames the flipped clause, not the first clause it re-evaluates.
+TEST_F(Stl2Phases, FlippedOutcomeAtCommitAborts) {
+  TVar<long> y(7), x(5), out(0);
+
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(y.word(), Rel::SGT, 0));  // stays true
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
+  t1.write(out.word(), 1);
+
+  t2.begin();
+  t2.write(x.word(), to_word<long>(-1));  // flips x > 0
+  t2.commit();
+
+  EXPECT_THROW(t1.commit(), TxAbort);
+  EXPECT_EQ(t1.last_abort().cause, obs::AbortCause::kCmpRevalidation);
+  EXPECT_EQ(t1.last_abort().addr, x.word());
+  t1.rollback();
+  EXPECT_EQ(out.unsafe_get(), 0);
+}
+
+// A compared orec locked by another committer fails commit at once: the
+// committer holds its own write locks, so it must not wait.
+TEST_F(Stl2Phases, LockedComparedOrecFailsCommitAtOnce) {
+  TVar<long> x(5), z(0), out(0);
+
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
+  t1.write(out.word(), 1);
+
+  t2.begin();
+  t2.write(z.word(), 1);  // moves the clock, so t1's commit validates
+  t2.commit();
+
+  Orec& o = algo.orecs().of(x.word());
+  ASSERT_TRUE(o.try_lock(&t2));  // a committer mid-write-back on x
+  EXPECT_THROW(t1.commit(), TxAbort);
+  EXPECT_EQ(t1.last_abort().cause, obs::AbortCause::kWriteLockConflict);
+  EXPECT_EQ(t1.last_abort().addr, x.word());
+  EXPECT_FALSE(algo.orecs().of(out.word()).locked())
+      << "the failed commit must release its write locks";
+  t1.rollback();
+  o.unlock(&t2);
+}
+
+// Commit adopts a validated timestamp only in phase 1. After a plain read
+// the snapshot stays frozen: the compare-set passes semantically, but the
+// read's moved orec still aborts the commit.
+TEST_F(Stl2Phases, Phase2CommitKeepsItsSnapshot) {
+  TVar<long> x(5), z(0), out(0);
+
+  t1.begin();
+  EXPECT_TRUE(t1.cmp(x.word(), Rel::SGT, 0));
+  (void)t1.read(z.word());  // enters phase 2
+  t1.write(out.word(), 1);
+
+  t2.begin();
+  t2.write(x.word(), 6);  // x > 0 still true
+  t2.write(z.word(), 1);  // the plain read is now stale
+  t2.commit();
+
+  EXPECT_THROW(t1.commit(), TxAbort);
+  EXPECT_EQ(t1.last_abort().cause, obs::AbortCause::kReadValidation);
+  t1.rollback();
+  EXPECT_EQ(out.unsafe_get(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Increment promotion under concurrency.
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "containers/topen_hashtable.hpp"
 #include "semstm.hpp"
 #include "workloads/mono.hpp"
 
@@ -163,21 +164,104 @@ TEST_P(Stress, MixedSemanticAndPlainOpsStayAtomic) {
   EXPECT_EQ(r.stats.commits, 4u * 500u);
 }
 
-TEST_P(Stress, AbortAccountingPartitionsExactly) {
-  // The core/stats.hpp contract must hold under genuine races too, not
-  // just on the deterministic simulator: every abort is attributed to
-  // exactly one cause, and attempts partition into commits/aborts/
-  // exceptions — no event may be dropped or double-counted when the
-  // counters race through real-thread commit paths.
-  BankWorkload w;
-  const RunResult r = run_workload(config(6, 400), w);
+/// The core/stats.hpp contract: every abort is attributed to exactly one
+/// cause, and attempts partition into commits/aborts/exceptions.
+void expect_stats_contract(const TxStats& s) {
   std::uint64_t cause_sum = 0;
   for (std::size_t c = 0; c < obs::kAbortCauseCount; ++c) {
-    cause_sum += r.stats.abort_causes[c];
+    cause_sum += s.abort_causes[c];
   }
-  EXPECT_EQ(r.stats.aborts, cause_sum);
-  EXPECT_EQ(r.stats.starts,
-            r.stats.commits + r.stats.aborts + r.stats.exceptions);
+  EXPECT_EQ(s.aborts, cause_sum);
+  EXPECT_EQ(s.starts, s.commits + s.aborts + s.exceptions);
+}
+
+TEST_P(Stress, AbortAccountingPartitionsExactly) {
+  // The contract must hold under genuine races too, not just on the
+  // deterministic simulator — no event may be dropped or double-counted
+  // when the counters race through real-thread commit paths.
+  BankWorkload w;
+  const RunResult r = run_workload(config(6, 400), w);
+  expect_stats_contract(r.stats);
+  w.verify();
+}
+
+/// Insert/remove/contains churn on a small table aged by 4000 mutations,
+/// so tombstones lengthen the probe chains that concurrent inserts and
+/// removes keep rewriting. Each thread sums the size changes of its
+/// *committed* transactions (a retried body starts again from 0).
+class HashtableChurnWorkload final
+    : public MonoWorkload<HashtableChurnWorkload> {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+  static constexpr std::uint64_t kKeySpace = 48;
+  static constexpr unsigned kOpsPerTx = 10;
+
+  explicit HashtableChurnWorkload(unsigned threads) : net_(threads, 0) {}
+
+  void setup(Rng& rng) override {
+    auto algo = make_algorithm("cgl");
+    ThreadCtx ctx(algo->make_tx());
+    CtxBinder bind(ctx);
+    for (int i = 0; i < 4000; ++i) {
+      const auto key = static_cast<std::int64_t>(rng.below(kKeySpace));
+      atomically([&](auto& tx) {
+        if (i % 3 == 2) {
+          (void)table_.remove(tx, key);
+        } else {
+          (void)table_.insert(tx, key);
+        }
+      });
+    }
+    prefill_ = table_.unsafe_size();
+  }
+
+  template <typename TxT>
+  void op_t(unsigned tid, Rng& rng) {
+    std::int64_t keys[kOpsPerTx];
+    std::uint64_t kinds[kOpsPerTx];
+    for (unsigned i = 0; i < kOpsPerTx; ++i) {
+      keys[i] = static_cast<std::int64_t>(rng.below(kKeySpace));
+      kinds[i] = rng.below(3);  // insert, remove, contains
+    }
+    std::int64_t delta = 0;
+    atomically<TxT>([&](TxT& tx) {
+      delta = 0;
+      for (unsigned i = 0; i < kOpsPerTx; ++i) {
+        if (kinds[i] == 0) {
+          delta += table_.insert(tx, keys[i]) ? 1 : 0;
+        } else if (kinds[i] == 1) {
+          delta -= table_.remove(tx, keys[i]) ? 1 : 0;
+        } else {
+          (void)table_.contains(tx, keys[i]);
+        }
+      }
+    });
+    net_[tid] += delta;
+  }
+
+  void verify() override {
+    const std::int64_t net = std::accumulate(net_.begin(), net_.end(),
+                                             std::int64_t{0});
+    EXPECT_EQ(static_cast<std::int64_t>(table_.unsafe_size()),
+              static_cast<std::int64_t>(prefill_) + net)
+        << "committed inserts/removes do not account for the table size";
+  }
+
+ private:
+  // Clause probes: cmp_or for the semantic cores, plain reads for the rest.
+  TOpenHashTable table_{kCapacity, TOpenHashTable::ProbeMode::kClause};
+  std::size_t prefill_ = 0;
+  std::vector<std::int64_t> net_;  ///< per thread, written by its owner
+};
+
+TEST_P(Stress, HashtableChurnConservesSize) {
+  // Real threads need enough transactions to overlap past thread start-up.
+  const std::uint64_t ops =
+      std::get<1>(GetParam()) == ExecMode::kSim ? 300 : 4000;
+  HashtableChurnWorkload w(4);
+  const RunResult r = run_workload(config(4, ops), w);
+  EXPECT_EQ(r.stats.commits, 4 * ops);
+  expect_stats_contract(r.stats);
   w.verify();
 }
 

@@ -333,16 +333,42 @@ struct PipelineRun {
   std::vector<std::uint64_t> aborts;          // per fiber
 };
 
-/// Run a scripted kernel workload on the virtual scheduler. Each fiber
-/// owns disjoint tables, so raw and optimized pipelines see the same
+constexpr unsigned kFibers = 2;
+constexpr std::size_t kCap = 32;     // hash-table capacity (power of 2)
+constexpr std::size_t kRecords = 8;  // reserve() tables
+constexpr unsigned kFeatures = 8;
+
+/// One fiber's kernel state. Both pipelines run over the same instances,
+/// reset between runs rather than reallocated: TL2-family aborts depend on
+/// address-hashed orec collisions, so raw and optimized runs are only
+/// comparable at identical addresses (an allocator that delays reusing
+/// freed blocks, such as ASan's, would otherwise move them).
+struct FiberTables {
+  // `record` is the center-update record: [len, center[0..kFeatures)].
+  TArray<std::int64_t> states{kCap, 0}, keys{kCap, 0}, numfree{kRecords, 3},
+      price{kRecords, 0}, record{kFeatures + 1, 0};
+
+  void reset(unsigned fiber) {
+    Rng setup(900 + fiber);
+    for (std::size_t i = 0; i < kCap; ++i) {
+      states[i].unsafe_set(0);
+      keys[i].unsafe_set(0);
+    }
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      numfree[i].unsafe_set(3);
+      price[i].unsafe_set(static_cast<std::int64_t>(setup.between(10, 500)));
+    }
+    for (unsigned j = 0; j <= kFeatures; ++j) record[j].unsafe_set(0);
+  }
+};
+
+/// Run a scripted kernel workload on the virtual scheduler, with a fresh
+/// algorithm instance over `tables` (one per fiber, reset first). Each
+/// fiber owns disjoint tables, so raw and optimized pipelines see the same
 /// (absent) conflict structure even though the optimized one issues fewer
 /// barriers and therefore interleaves differently.
-PipelineRun run_kernels(const std::string& algo_name, bool optimized) {
-  constexpr unsigned kFibers = 2;
-  constexpr std::size_t kCap = 32;       // hash-table capacity (power of 2)
-  constexpr std::size_t kRecords = 8;    // reserve() tables
-  constexpr unsigned kFeatures = 8;
-
+PipelineRun run_kernels(const std::string& algo_name, bool optimized,
+                        std::vector<FiberTables>& tables) {
   Function probe = build_probe_kernel();
   Function insert = build_insert_kernel();
   Function remove = build_remove_kernel();
@@ -357,22 +383,9 @@ PipelineRun run_kernels(const std::string& algo_name, bool optimized) {
   }
 
   auto algo = make_algorithm(algo_name);
-  struct FiberTables {
-    // `record` is the center-update record: [len, center[0..kFeatures)].
-    TArray<std::int64_t> states, keys, numfree, price, record;
-    FiberTables()
-        : states(kCap, 0), keys(kCap, 0), numfree(kRecords, 3),
-          price(kRecords, 0), record(kFeatures + 1, 0) {}
-  };
-  std::vector<std::unique_ptr<FiberTables>> tables;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs;
   for (unsigned t = 0; t < kFibers; ++t) {
-    tables.push_back(std::make_unique<FiberTables>());
-    Rng setup(900 + t);
-    for (std::size_t i = 0; i < kRecords; ++i) {
-      tables.back()->price[i].unsafe_set(
-          static_cast<std::int64_t>(setup.between(10, 500)));
-    }
+    tables[t].reset(t);
     ctxs.push_back(std::make_unique<ThreadCtx>(algo->make_tx()));
   }
 
@@ -382,7 +395,7 @@ PipelineRun run_kernels(const std::string& algo_name, bool optimized) {
   sched::VirtualScheduler sim(sched::SimOptions{.seed = 42});
   sim.run(kFibers, [&](unsigned tid) {
     CtxBinder bind(*ctxs[tid]);
-    FiberTables& tb = *tables[tid];
+    FiberTables& tb = tables[tid];
     Rng rng(1000 + tid);
     for (int step = 0; step < 80; ++step) {
       const Function* f = nullptr;
@@ -425,7 +438,7 @@ PipelineRun run_kernels(const std::string& algo_name, bool optimized) {
   });
 
   for (unsigned t = 0; t < kFibers; ++t) {
-    const FiberTables& tb = *tables[t];
+    const FiberTables& tb = tables[t];
     for (std::size_t i = 0; i < kCap; ++i) {
       out.memory.push_back(tb.states[i].unsafe_get());
       out.memory.push_back(tb.keys[i].unsafe_get());
@@ -446,8 +459,9 @@ PipelineRun run_kernels(const std::string& algo_name, bool optimized) {
 class SchedulerOracle : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedulerOracle, OptimizedKernelsAreBitIdenticalUnderTheScheduler) {
-  const PipelineRun raw = run_kernels(GetParam(), /*optimized=*/false);
-  const PipelineRun opt = run_kernels(GetParam(), /*optimized=*/true);
+  std::vector<FiberTables> tables(kFibers);
+  const PipelineRun raw = run_kernels(GetParam(), /*optimized=*/false, tables);
+  const PipelineRun opt = run_kernels(GetParam(), /*optimized=*/true, tables);
   ASSERT_EQ(raw.results.size(), opt.results.size());
   for (std::size_t t = 0; t < raw.results.size(); ++t) {
     ASSERT_EQ(raw.results[t], opt.results[t]) << "fiber " << t;
