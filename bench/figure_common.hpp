@@ -9,7 +9,7 @@
 // paper plots.
 //
 // Execution defaults to the deterministic virtual scheduler (see
-// DESIGN.md: the host has one core); pass --real for std::thread runs.
+// DESIGN.md: the host has one core); pass --mode=real for std::thread runs.
 #pragma once
 
 #include <cstdio>
@@ -43,9 +43,6 @@ struct FigureSpec {
   std::uint64_t seed = 0x5EED;
   ExecMode mode = ExecMode::kSim;
   std::uint64_t sim_quantum = 24;  // amortize fiber switches (see SimOptions)
-  std::string cm = env_or("SEMSTM_CM", "backoff");  // contention manager
-  std::uint64_t retry_limit =
-      env_u64_or("SEMSTM_RETRY_LIMIT", kDefaultRetryLimit);
   /// When non-empty, every (series × thread-count) run is traced and the
   /// merged Chrome trace_event JSON is written here (--trace out.json).
   /// Requires a -DSEMSTM_TRACE=ON build to produce events.
@@ -77,7 +74,6 @@ inline void apply_cli(FigureSpec& spec, const Cli& cli) {
       cli.get_int("ops", static_cast<std::int64_t>(spec.ops_per_thread)));
   spec.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", static_cast<std::int64_t>(spec.seed)));
-  if (cli.has("real")) spec.mode = ExecMode::kReal;  // legacy spelling
   const std::string mode = cli.get("mode", "");
   if (mode == "real") {
     spec.mode = ExecMode::kReal;
@@ -90,9 +86,6 @@ inline void apply_cli(FigureSpec& spec, const Cli& cli) {
   }
   spec.sim_quantum = static_cast<std::uint64_t>(
       cli.get_int("quantum", static_cast<std::int64_t>(spec.sim_quantum)));
-  spec.cm = cli.get("cm", spec.cm);
-  spec.retry_limit = static_cast<std::uint64_t>(
-      cli.get_int("retry-limit", static_cast<std::int64_t>(spec.retry_limit)));
   spec.trace_path = cli.get("trace", spec.trace_path);
   spec.json_out = cli.get("json-out", spec.json_out);
   spec.metrics_path = cli.get("metrics-out", spec.metrics_path);
@@ -112,20 +105,6 @@ inline void apply_cli(FigureSpec& spec, const Cli& cli) {
                  "warning: --metrics-out requested but this binary was built "
                  "without -DSEMSTM_TRACE=ON; windows and hot sites will be "
                  "empty\n");
-  }
-  // Fail fast with a usable message; otherwise the bad name surfaces as a
-  // terminate() from make_contention_manager deep inside the first run.
-  bool known = false;
-  for (const std::string& n : contention_manager_names()) {
-    known = known || n == spec.cm;
-  }
-  if (!known) {
-    std::fprintf(stderr, "error: unknown --cm '%s'; valid:", spec.cm.c_str());
-    for (const std::string& n : contention_manager_names()) {
-      std::fprintf(stderr, " %s", n.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    std::exit(2);
   }
 }
 
@@ -147,12 +126,10 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
   // trace timestamps, metrics windows): virtual ticks in sim mode,
   // steady-clock nanoseconds under real threads.
   std::fprintf(out, "{\"figure\":\"%s\",\"metric\":\"%s\",\"units\":\"%s\","
-               "\"mode\":\"%s\",\"cm\":\"%s\",\"retry_limit\":%llu,"
-               "\"series\":[",
+               "\"mode\":\"%s\",\"series\":[",
                spec.name.c_str(), spec.metric.c_str(),
                spec.mode == ExecMode::kSim ? "ticks" : "ns",
-               spec.mode == ExecMode::kSim ? "sim" : "real", spec.cm.c_str(),
-               static_cast<unsigned long long>(spec.retry_limit));
+               spec.mode == ExecMode::kSim ? "sim" : "real");
   for (std::size_t s = 0; s < spec.series.size(); ++s) {
     std::fprintf(out, "%s{\"label\":\"%s\",\"algo\":\"%s\",\"points\":[",
                  s == 0 ? "" : ",", spec.series[s].label.c_str(),
@@ -180,7 +157,6 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
           "\"exceptions\":%llu,\"validations\":%llu,"
           "\"readset_adds\":%llu,\"readset_dups\":%llu,"
           "\"validate_entries\":%llu,\"clock_adoptions\":%llu,"
-          "\"epoch_retires\":%llu,\"epoch_reclaims\":%llu,"
           "\"abort_causes\":{",
           t == 0 ? "" : ",", spec.threads[t], p.metric_value, speedup,
           p.abort_pct,
@@ -194,9 +170,7 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
           static_cast<unsigned long long>(st.readset_adds),
           static_cast<unsigned long long>(st.readset_dups),
           static_cast<unsigned long long>(st.validate_entries),
-          static_cast<unsigned long long>(st.clock_adoptions),
-          static_cast<unsigned long long>(st.epoch_retires),
-          static_cast<unsigned long long>(st.epoch_reclaims));
+          static_cast<unsigned long long>(st.clock_adoptions));
       for (std::size_t c = 0; c < obs::kAbortCauseCount; ++c) {
         std::fprintf(out, "%s\"%s\":%llu", c == 0 ? "" : ",",
                      obs::abort_cause_name(static_cast<obs::AbortCause>(c)),
@@ -253,11 +227,9 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
 
 inline void run_figure(const FigureSpec& spec, const WorkloadFactory& make) {
   std::printf("# %s\n", spec.name.c_str());
-  std::printf("# mode=%s ops_per_thread=%llu cm=%s retry_limit=%llu%s\n",
+  std::printf("# mode=%s ops_per_thread=%llu%s\n",
               spec.mode == ExecMode::kSim ? "sim" : "real",
               static_cast<unsigned long long>(spec.ops_per_thread),
-              spec.cm.c_str(),
-              static_cast<unsigned long long>(spec.retry_limit),
               spec.fixed_total_work ? " (fixed total work)" : "");
 
   std::vector<std::vector<SeriesPoint>> table(
@@ -289,8 +261,6 @@ inline void run_figure(const FigureSpec& spec, const WorkloadFactory& make) {
       }
       cfg.seed = spec.seed;
       cfg.sim_quantum = spec.sim_quantum;
-      cfg.cm = spec.cm;
-      cfg.retry_limit = spec.retry_limit;
       obs::TraceCollector collector;
       if (!spec.trace_path.empty()) cfg.trace = &collector;
       obs::MetricsCollector metrics(spec.metrics_window);
@@ -354,8 +324,9 @@ inline void run_figure(const FigureSpec& spec, const WorkloadFactory& make) {
     std::printf("\n");
   }
 
-  // Serial-irrevocable fallbacks per 10k commits (0.00 everywhere unless
-  // the bounded policy escalated — the progress-guarantee audit trail).
+  // Serial-irrevocable fallbacks per 10k commits (0.00 unless some
+  // transaction hit kRetryLimit consecutive aborts and ran alone — the
+  // progress-guarantee audit trail).
   std::printf("\n## serial fallbacks (per 10k commits)\n");
   std::printf("threads");
   for (const auto& s : spec.series) std::printf(",%s", s.label.c_str());

@@ -2,7 +2,8 @@
 # One-command PR gate: chains every CI stage in cheapest-first order so a
 # broken build fails in seconds, not after the perf suite.
 #
-#   1. tier-1 ctest        (Debug build: functional + conformance suites,
+#   1. tier-1 ctest        (Release build, the top-level CMakeLists.txt
+#                           default: functional + conformance suites,
 #                           including the adversarial-schedule litmus suite)
 #   2. ci_lint.sh          (clang-tidy over src/, skipped if not installed)
 #   3. ci_sanitize.sh      (ASan/UBSan over the full suite)

@@ -137,13 +137,12 @@ def fig_points(path):
     for fig in doc["figures"]:
         # Schema guard for the commit-scalability fields: every figure
         # carries its execution mode, every point its scaling factor and
-        # the GV4/epoch counters, in both execution modes.
+        # the GV4 clock counter, in both execution modes.
         if "mode" not in fig:
             failures.append(f"fig1: {path}: figure missing 'mode' field")
         for series in fig["series"]:
             for p in series["points"]:
-                for field in ("speedup", "clock_adoptions",
-                              "epoch_retires", "epoch_reclaims"):
+                for field in ("speedup", "clock_adoptions"):
                     if field not in p:
                         failures.append(
                             f"fig1: {path}: point missing '{field}' field")

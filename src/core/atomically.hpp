@@ -2,11 +2,11 @@
 //
 // Runs the user lambda against the bound thread context's transaction,
 // retrying on every TxAbort with the context's contention-manager policy
-// pacing the attempts (runtime/contention.hpp). A bounded-retry policy may
-// escalate a starving transaction to *serial-irrevocable* mode: the loop
-// acquires the global token (runtime/serial_gate.hpp), every other
-// transaction quiesces at begin(), and the next attempt runs alone and is
-// guaranteed to commit.
+// pacing the attempts (runtime/contention.hpp). The policy escalates a
+// starving transaction to *serial-irrevocable* mode: the loop acquires the
+// global token (runtime/serial_gate.hpp), every other transaction
+// quiesces at begin(), and the next attempt runs alone and is guaranteed
+// to commit.
 //
 // User exceptions roll the transaction back and propagate (lazy versioning
 // means no shared state was touched); they are counted as `exceptions`,

@@ -43,14 +43,14 @@ struct ThreadCtx {
   /// against TxT::kId in every build before casting `core`.
   AlgoId algo{};
 
-  /// Default construction: randomized-exponential-backoff policy with a
-  /// unique per-context seed (see default_ctx_seed()).
+  /// Default construction: the BackoffCm policy with a unique per-context
+  /// seed (see default_ctx_seed()).
   explicit ThreadCtx(std::unique_ptr<Tx> t)
       : ThreadCtx(std::move(t), default_ctx_seed()) {}
 
   /// Deterministic construction: the caller owns seed uniqueness (pass a
   /// distinct stream seed per thread). An explicit policy may replace the
-  /// default backoff manager.
+  /// default BackoffCm.
   ThreadCtx(std::unique_ptr<Tx> t, std::uint64_t seed,
             std::unique_ptr<ContentionManager> manager = nullptr)
       : tx(std::move(t)),

@@ -79,14 +79,6 @@ struct TxStats {
   /// real threads it measures clock-line contention relieved by GV4.
   std::uint64_t clock_adoptions = 0;
 
-  // Epoch-based reclamation (runtime/epoch.hpp, real-thread mode only —
-  // the sim never routes frees through EBR, see the determinism note
-  // there): nodes handed to EpochHandle::retire() and nodes actually
-  // freed after their grace period. retires >= reclaims at all times;
-  // they converge when the handles drain at thread exit.
-  std::uint64_t epoch_retires = 0;
-  std::uint64_t epoch_reclaims = 0;
-
   /// Aborts by cause, indexed by obs::AbortCause (see the contract above).
   std::uint64_t abort_causes[obs::kAbortCauseCount] = {};
 
@@ -124,8 +116,6 @@ struct TxStats {
     readset_dups += o.readset_dups;
     validate_entries += o.validate_entries;
     clock_adoptions += o.clock_adoptions;
-    epoch_retires += o.epoch_retires;
-    epoch_reclaims += o.epoch_reclaims;
     for (std::size_t i = 0; i < obs::kAbortCauseCount; ++i) {
       abort_causes[i] += o.abort_causes[i];
     }
@@ -164,8 +154,6 @@ struct TxStats {
     readset_dups -= o.readset_dups;
     validate_entries -= o.validate_entries;
     clock_adoptions -= o.clock_adoptions;
-    epoch_retires -= o.epoch_retires;
-    epoch_reclaims -= o.epoch_reclaims;
     for (std::size_t i = 0; i < obs::kAbortCauseCount; ++i) {
       abort_causes[i] -= o.abort_causes[i];
     }

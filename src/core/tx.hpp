@@ -75,7 +75,7 @@ class TxCoreBase {
 
   /// The serial-irrevocable gate shared by every descriptor of the owning
   /// Algorithm (null only for descriptors built outside an Algorithm, e.g.
-  /// bare test doubles). atomically() uses it for the bounded-retry
+  /// bare test doubles). atomically() uses it for the serial-irrevocable
   /// fallback; the algorithms honour it through gate_enter()/gate_exit().
   SerialGate* serial_gate() const noexcept { return gate_; }
 

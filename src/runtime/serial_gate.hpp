@@ -1,5 +1,6 @@
 // SerialGate: the global serial-irrevocable token (GCC libitm's `serialirr`
-// idea), the escalation target of the bounded-retry contention manager.
+// idea), where BackoffCm sends a transaction after kRetryLimit consecutive
+// aborts (runtime/contention.hpp).
 //
 // Protocol (honoured by every algorithm at begin()/commit(), see
 // TxCoreBase's gate_enter()/gate_exit() helpers):

@@ -19,7 +19,7 @@ namespace semstm {
 namespace detail {
 
 /// Strict end-pointer numeric parse: the whole token must be consumed.
-/// `what` names the source ("--ops", "SEMSTM_RETRY_LIMIT") in the error.
+/// `what` names the flag ("--ops") in the error.
 [[noreturn]] inline void die_bad_number(const char* what, const char* tok) {
   std::fprintf(stderr, "error: %s: malformed number '%s'\n", what, tok);
   std::exit(2);
@@ -57,23 +57,6 @@ inline double parse_f64(const char* what, const std::string& tok) {
 }
 
 }  // namespace detail
-
-/// Environment-variable fallback for run-wide defaults (e.g. SEMSTM_CM).
-/// CLI flags always win: callers use `cli.get(key, env_or(...))`.
-inline std::string env_or(const char* var, const char* dflt) {
-  // Read-only env access during single-threaded startup; no setenv anywhere
-  // in the library, so the getenv data race clang-tidy guards against
-  // cannot occur. NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* v = std::getenv(var);
-  return (v != nullptr && *v != '\0') ? std::string(v) : std::string(dflt);
-}
-
-inline std::uint64_t env_u64_or(const char* var, std::uint64_t dflt) {
-  // Same single-threaded-startup contract as env_or above.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* v = std::getenv(var);
-  return (v != nullptr && *v != '\0') ? detail::parse_u64(var, v) : dflt;
-}
 
 class Cli {
  public:

@@ -28,9 +28,7 @@ RunResult run_workload(const RunConfig& cfg, Workload& workload) {
     // The contention-manager seed stream is decorrelated from the workload
     // stream (distinct per thread AND per purpose) so backoff randomization
     // never echoes workload choices.
-    ctxs.push_back(std::make_unique<ThreadCtx>(
-        algo->make_tx(), s ^ 0xB0FF,
-        make_contention_manager(cfg.cm, s ^ 0xB0FF, cfg.retry_limit)));
+    ctxs.push_back(std::make_unique<ThreadCtx>(algo->make_tx(), s ^ 0xB0FF));
     rngs.emplace_back(s);
   }
   if (cfg.trace != nullptr) {

@@ -15,8 +15,6 @@
 #include "obs/conflict_map.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
-#include "runtime/contention.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace semstm {
@@ -73,14 +71,6 @@ struct RunConfig {
   AlgoOptions algo_opts{};
   /// Simulator scheduling slack (see sched::SimOptions::quantum).
   std::uint64_t sim_quantum = 0;
-  /// Contention-manager policy: "backoff", "yield" or "bounded"
-  /// (runtime/contention.hpp). Defaults honour SEMSTM_CM / SEMSTM_RETRY_LIMIT
-  /// so whole bench sweeps can be re-run under a different policy without
-  /// touching every invocation; per-bench CLI flags override.
-  std::string cm = env_or("SEMSTM_CM", "backoff");
-  /// Consecutive-abort limit before the "bounded" policy goes serial.
-  std::uint64_t retry_limit = env_u64_or("SEMSTM_RETRY_LIMIT",
-                                         kDefaultRetryLimit);
   /// Optional trace sink (src/obs). When non-null the driver sizes one
   /// SPSC ring per thread and binds it to that thread's descriptor, so the
   /// retry loop streams begin/commit/abort/fallback/semantic-op events into

@@ -1,10 +1,9 @@
-// Strict CLI / environment parsing (PR 3). Malformed numbers used to be
-// silently truncated by atoll ("--ops=10k" ran 10 ops); now every numeric
-// token must parse completely or the process exits(2) naming the token.
+// Strict CLI parsing. Malformed numbers used to be silently truncated by
+// atoll ("--ops=10k" ran 10 ops); now every numeric token must parse
+// completely or the process exits(2) naming the token.
 // Rejection paths are death tests: the parser is specified to terminate.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -89,34 +88,6 @@ TEST(CliDeath, RejectsUnrecognizedArgument) {
   EXPECT_EXIT(make_cli({"ops=10"}), ::testing::ExitedWithCode(2),
               "unrecognized argument");
 }
-
-// The EnvParse tests mutate the environment from the single gtest thread
-// before any transaction/scheduler machinery starts, so the setenv/getenv
-// race concurrency-mt-unsafe flags cannot happen here.
-// NOLINTBEGIN(concurrency-mt-unsafe)
-TEST(EnvParse, UsesDefaultWhenUnsetAndParsesWhenSet) {
-  ::unsetenv("SEMSTM_TEST_U64");
-  EXPECT_EQ(env_u64_or("SEMSTM_TEST_U64", 17u), 17u);
-  ::setenv("SEMSTM_TEST_U64", "123", 1);
-  EXPECT_EQ(env_u64_or("SEMSTM_TEST_U64", 17u), 123u);
-  ::unsetenv("SEMSTM_TEST_U64");
-}
-
-TEST(EnvParseDeath, RejectsGarbageEnvValue) {
-  ::setenv("SEMSTM_TEST_U64", "12q", 1);
-  EXPECT_EXIT(env_u64_or("SEMSTM_TEST_U64", 17u),
-              ::testing::ExitedWithCode(2),
-              "SEMSTM_TEST_U64: malformed number '12q'");
-  ::unsetenv("SEMSTM_TEST_U64");
-}
-
-TEST(EnvParseDeath, RejectsNegativeEnvValue) {
-  ::setenv("SEMSTM_TEST_U64", "-3", 1);
-  EXPECT_EXIT(env_u64_or("SEMSTM_TEST_U64", 17u),
-              ::testing::ExitedWithCode(2), "malformed number");
-  ::unsetenv("SEMSTM_TEST_U64");
-}
-// NOLINTEND(concurrency-mt-unsafe)
 
 }  // namespace
 }  // namespace semstm

@@ -1,13 +1,15 @@
 // Contention-management tests: policy units, the serial-irrevocable gate,
 // retry-loop accounting (exceptions vs aborts), and the livelock stress —
-// a deliberately starving transaction that only resolves with the
-// bounded-retry + serial-irrevocable fallback enabled.
+// a deliberately starving transaction that resolves only because the
+// default policy escalates it to the serial-irrevocable token.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/contention.hpp"
@@ -46,31 +48,13 @@ TEST(Context, DefaultCtxSeedsAreUniquePerContext) {
   EXPECT_NE(s1, s3);
 }
 
-TEST(ContentionManager, BackoffAndYieldNeverEscalate) {
-  BackoffCm backoff(7);
-  YieldCm yield;
-  for (std::uint64_t k = 1; k <= 300; ++k) {
-    EXPECT_FALSE(backoff.on_abort(k));
-    EXPECT_FALSE(yield.on_abort(k));
-  }
-}
-
 TEST(ContentionManager, BoundedRetryEscalatesExactlyAtLimit) {
-  BoundedRetryCm cm(7, 5);
-  for (std::uint64_t k = 1; k < 5; ++k) {
+  BackoffCm cm(7);
+  for (std::uint64_t k = 1; k < kRetryLimit; ++k) {
     EXPECT_FALSE(cm.on_abort(k)) << "premature escalation at " << k;
   }
-  EXPECT_TRUE(cm.on_abort(5));
-  EXPECT_TRUE(cm.on_abort(6));  // stays escalation-willing past the limit
-}
-
-TEST(ContentionManager, FactoryKnowsAllNamesAndRejectsUnknown) {
-  for (const std::string& name : contention_manager_names()) {
-    auto cm = make_contention_manager(name, 1, 4);
-    ASSERT_NE(cm, nullptr);
-    EXPECT_EQ(cm->name(), name);
-  }
-  EXPECT_THROW(make_contention_manager("aggressive", 1), std::invalid_argument);
+  EXPECT_TRUE(cm.on_abort(kRetryLimit));
+  EXPECT_TRUE(cm.on_abort(kRetryLimit + 1));  // stays willing past the limit
 }
 
 TEST(SerialGate, TokenStateMachine) {
@@ -152,12 +136,30 @@ TEST(ExceptionAccounting, IdentityHoldsUnderContendedSimRun) {
 // a summary; aggressor threads hammer the same variables with short
 // conflicting increments *until the victim resolves*. Under any
 // non-escalating policy the victim starves: every attempt spans many
-// aggressor commits, each of which invalidates it. The bounded-retry
-// policy escalates the victim to the serial-irrevocable token, the
-// aggressors quiesce at begin(), and the victim commits alone.
+// aggressor commits, each of which invalidates it. The default policy
+// escalates the victim to the serial-irrevocable token after kRetryLimit
+// aborts, the aggressors quiesce at begin(), and the victim commits alone.
 // ---------------------------------------------------------------------------
 
 constexpr int kVars = 24;
+
+/// The negative control's victim policy: BackoffCm's randomized backoff
+/// without its escalation, i.e. pure backoff.
+class PureBackoffCm final : public ContentionManager {
+ public:
+  explicit PureBackoffCm(std::uint64_t seed) : backoff_(seed) {}
+  const char* name() const noexcept override { return "pure-backoff"; }
+  bool on_abort(std::uint64_t) override {
+    backoff_.pause();
+    return false;
+  }
+  void on_finish() noexcept override { backoff_.reset(); }
+
+ private:
+  Backoff backoff_;
+};
+
+enum class VictimPolicy { kDefault, kPureBackoff };
 
 struct LivelockResult {
   bool victim_committed = false;
@@ -170,9 +172,27 @@ struct LivelockResult {
 
 struct GiveUp {};
 
+/// The real-thread victim's stand-in for the sim's adversarial schedule:
+/// after reading every variable it waits until aggressor commits that
+/// began after those reads have landed — more than one per aggressor,
+/// since each may have one commit done but not yet counted. Every such
+/// commit increments a variable the victim read, so the attempt cannot
+/// commit optimistically whatever the core count or host load. Bounded,
+/// because nothing commits while the victim holds CGL's lock.
+void await_aggressor_commits(const std::atomic<std::uint64_t>& commits,
+                             unsigned aggressors) {
+  const std::uint64_t target =
+      commits.load(std::memory_order_acquire) + aggressors + 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  while (commits.load(std::memory_order_acquire) < target &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
 LivelockResult run_livelock(const std::string& algo_name,
-                            const std::string& victim_cm,
-                            std::uint64_t retry_limit,
+                            VictimPolicy victim_policy,
                             std::uint64_t victim_guard, unsigned threads,
                             ExecMode mode) {
   auto algo = make_algorithm(algo_name);
@@ -188,10 +208,12 @@ LivelockResult run_livelock(const std::string& algo_name,
   ctxs.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
     const std::uint64_t s = seeder.next();
-    ctxs.push_back(std::make_unique<ThreadCtx>(
-        algo->make_tx(), s,
-        t == 0 ? make_contention_manager(victim_cm, s, retry_limit)
-               : make_contention_manager("backoff", s)));
+    std::unique_ptr<ContentionManager> manager;  // null: the default policy
+    if (t == 0 && victim_policy == VictimPolicy::kPureBackoff) {
+      manager = std::make_unique<PureBackoffCm>(s);
+    }
+    ctxs.push_back(
+        std::make_unique<ThreadCtx>(algo->make_tx(), s, std::move(manager)));
   }
 
   std::atomic<bool> done{false};
@@ -202,13 +224,19 @@ LivelockResult run_livelock(const std::string& algo_name,
     CtxBinder bind(*ctxs[tid]);
     if (tid == 0) {
       // Victim: one long read-everything transaction. The guard bounds the
-      // test when the policy provides no escape (the livelock case).
+      // test when the policy provides no escape (the livelock case). Once
+      // serial-irrevocable it runs alone, so it stops waiting for
+      // aggressors.
       std::uint64_t attempts = 0;
       try {
         atomically([&](auto& tx) {
           if (++attempts > victim_guard) throw GiveUp{};
           long sum = 0;
           for (auto& v : vars) sum += v->get(tx);
+          if (mode == ExecMode::kReal &&
+              !tx.serial_gate()->held_by(tx.tx_id())) {
+            await_aggressor_commits(aggressor_commits, threads - 1);
+          }
           out.set(tx, sum + 1);
         });
         victim_committed.store(true, std::memory_order_release);
@@ -217,9 +245,12 @@ LivelockResult run_livelock(const std::string& algo_name,
       done.store(true, std::memory_order_release);
     } else {
       // Aggressors: short conflicting increments until the victim resolves.
-      // The iteration cap is a safety net against driver bugs only.
+      // The iteration cap is a safety net against driver bugs only: real
+      // NOrec aggressors pass 5e5 commits each while the victim backs off
+      // towards kRetryLimit.
       for (std::uint64_t iter = 0;
-           !done.load(std::memory_order_acquire) && iter < 500000; ++iter) {
+           !done.load(std::memory_order_acquire) && iter < (1u << 26);
+           ++iter) {
         TVar<long>& v =
             *vars[(static_cast<std::uint64_t>(tid) * 7 + iter) % kVars];
         atomically([&](auto& tx) { v.set(tx, v.get(tx) + 1); });
@@ -247,17 +278,35 @@ LivelockResult run_livelock(const std::string& algo_name,
 
 class LivelockFallback : public ::testing::TestWithParam<std::string> {};
 
-// Acceptance: with bounded-retry + serial-irrevocable enabled the rig
+/// The victim's side of the acceptance checks shared by the sim and the
+/// real-thread rig: it committed exactly once, and — except under CGL,
+/// whose global lock never aborts — only through exactly one escalation
+/// after kRetryLimit consecutive aborts.
+void expect_victim_escalated_once(const std::string& algo,
+                                  const LivelockResult& r) {
+  EXPECT_TRUE(r.victim_committed);
+  EXPECT_EQ(r.victim.commits, 1u);
+  EXPECT_EQ(r.victim.exceptions, 0u) << "guard tripped: fallback too late";
+  if (algo == "cgl") {
+    EXPECT_EQ(r.victim.aborts, 0u);
+    EXPECT_EQ(r.victim.fallbacks, 0u);
+  } else {
+    EXPECT_GE(r.victim.aborts, kRetryLimit) << "rig produced no starvation";
+    EXPECT_EQ(r.victim.fallbacks, 1u)
+        << "the serial-irrevocable attempt must commit first try";
+    EXPECT_GE(r.victim.max_consec_aborts, kRetryLimit);
+  }
+}
+
+// Acceptance: on the default policy, with no manager passed, the rig
 // terminates and every transaction commits, for all five algorithms.
 TEST_P(LivelockFallback, BoundedRetryFallbackGuaranteesVictimCommit) {
   const std::string algo = GetParam();
   const LivelockResult r =
-      run_livelock(algo, "bounded", /*retry_limit=*/8,
-                   /*victim_guard=*/100000, /*threads=*/8, ExecMode::kSim);
+      run_livelock(algo, VictimPolicy::kDefault, /*victim_guard=*/100000,
+                   /*threads=*/8, ExecMode::kSim);
 
-  EXPECT_TRUE(r.victim_committed);
-  EXPECT_EQ(r.victim.commits, 1u);
-  EXPECT_EQ(r.victim.exceptions, 0u) << "guard tripped: fallback too late";
+  expect_victim_escalated_once(algo, r);
   // Each committed aggressor op added exactly 1 to exactly one var; the
   // victim wrote only `out`. Conservation proves no lost updates around
   // the token hand-off.
@@ -265,16 +314,6 @@ TEST_P(LivelockFallback, BoundedRetryFallbackGuaranteesVictimCommit) {
   EXPECT_GE(r.out, 1);
   EXPECT_EQ(r.total.starts,
             r.total.commits + r.total.aborts + r.total.exceptions);
-  if (algo == "cgl") {
-    // The global lock never aborts, so the fallback never arms.
-    EXPECT_EQ(r.victim.aborts, 0u);
-    EXPECT_EQ(r.victim.fallbacks, 0u);
-  } else {
-    EXPECT_GE(r.victim.aborts, 8u) << "rig produced no starvation";
-    EXPECT_EQ(r.victim.fallbacks, 1u)
-        << "the serial-irrevocable attempt must commit first try";
-    EXPECT_GE(r.victim.max_consec_aborts, 8u);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, LivelockFallback,
@@ -282,16 +321,16 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, LivelockFallback,
                                            "stl2"),
                          [](const auto& info) { return info.param; });
 
-// The control: the identical rig under pure randomized backoff livelocks —
-// the victim starves past the attempt guard without ever committing. This
-// is the pathology the fallback exists to break (deterministic simulator,
-// so this is a stable fact, not a flake).
+// The control: the identical rig with the victim on pure randomized
+// backoff livelocks — the victim starves past the attempt guard without
+// ever committing. This is the pathology the fallback exists to break
+// (deterministic simulator, so this is a stable fact, not a flake).
 TEST(LivelockFallback, PureBackoffStarvesTheVictim) {
   for (const std::string algo : {"norec", "tl2"}) {
     SCOPED_TRACE(algo);
     const LivelockResult r =
-        run_livelock(algo, "backoff", /*retry_limit=*/0,
-                     /*victim_guard=*/60, /*threads=*/8, ExecMode::kSim);
+        run_livelock(algo, VictimPolicy::kPureBackoff, /*victim_guard=*/60,
+                     /*threads=*/8, ExecMode::kSim);
 
     EXPECT_FALSE(r.victim_committed) << "rig no longer livelocks";
     EXPECT_EQ(r.victim.commits, 0u);
@@ -304,41 +343,20 @@ TEST(LivelockFallback, PureBackoffStarvesTheVictim) {
   }
 }
 
-// Real-thread variant (the TSan target; see scripts/ci_sanitize.sh): on a
-// multi-core host the victim genuinely races the aggressors, on a single
-// core it may commit within a timeslice — either way the bounded policy
-// must terminate with the victim committed and no lost updates.
+// Real-thread variant (the TSan target; see scripts/ci_tsan.sh): the
+// victim races OS-thread aggressors, and the default policy must still
+// escalate it exactly once and commit it with no lost updates.
 TEST(LivelockFallbackReal, BoundedRetryTerminatesOnRealThreads) {
   for (const std::string& algo : algorithm_names()) {
     SCOPED_TRACE(algo);
     const LivelockResult r =
-        run_livelock(algo, "bounded", /*retry_limit=*/8,
-                     /*victim_guard=*/100000, /*threads=*/4, ExecMode::kReal);
-    EXPECT_TRUE(r.victim_committed);
-    EXPECT_EQ(r.victim.commits, 1u);
+        run_livelock(algo, VictimPolicy::kDefault, /*victim_guard=*/100000,
+                     /*threads=*/4, ExecMode::kReal);
+    expect_victim_escalated_once(algo, r);
     EXPECT_EQ(r.var_sum, static_cast<long>(r.aggressor_commits));
     EXPECT_EQ(r.total.starts,
               r.total.commits + r.total.aborts + r.total.exceptions);
   }
-}
-
-// The bounded policy composes with the standard driver path: a hot-counter
-// workload under "bounded" commits everything and reports any fallbacks
-// through the aggregated RunResult stats (the bench JSON's source).
-TEST(LivelockFallback, DriverWiresPolicyAndCountersThrough) {
-  HotCounter w;
-  RunConfig cfg;
-  cfg.algo = "tl2";
-  cfg.mode = ExecMode::kSim;
-  cfg.threads = 8;
-  cfg.ops_per_thread = 200;
-  cfg.cm = "bounded";
-  cfg.retry_limit = 2;  // aggressive, to exercise the token under load
-  const RunResult r = run_workload(cfg, w);
-  EXPECT_EQ(w.v.unsafe_get(), 8 * 200);
-  EXPECT_EQ(r.stats.commits, 8u * 200u);
-  EXPECT_GT(r.stats.fallbacks, 0u) << "limit 2 under this load must escalate";
-  EXPECT_EQ(r.stats.starts, r.stats.commits + r.stats.aborts);
 }
 
 }  // namespace

@@ -91,7 +91,6 @@ class DispatchParity : public ::testing::TestWithParam<const char*> {
     cfg.mode = ExecMode::kSim;
     cfg.ops_per_thread = 400;
     cfg.seed = 0xD15BA7C4;
-    cfg.cm = "backoff";
     return run_workload(cfg, wl);
   }
 
