@@ -28,11 +28,10 @@ namespace {
 using namespace semstm;
 
 
-void ablation_clause(const Cli& cli) {
+void ablation_clause(std::uint64_t ops) {
   std::printf("## A. probe validation granularity (identical workload)\n");
   std::printf("#    hashtable workload, snorec, 16 simulated threads\n");
   std::printf("mode,throughput,abort%%\n");
-  const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 250));
   struct Case {
     const char* label;
     TOpenHashTable::ProbeMode mode;
@@ -57,11 +56,10 @@ void ablation_clause(const Cli& cli) {
 
 // -- B: orec table sizing -----------------------------------------------------
 
-void ablation_orecs(const Cli& cli) {
+void ablation_orecs(std::uint64_t ops) {
   std::printf("## B. orec table size (TL2 family): false conflicts from "
               "hash collisions\n");
   std::printf("log2_orecs,tl2_abort%%,stl2_abort%%\n");
-  const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 250));
   for (const unsigned log2 : {6u, 10u, 14u, 18u}) {
     double aborts[2];
     int k = 0;
@@ -113,9 +111,8 @@ class TreeWorkload final : public MonoWorkload<TreeWorkload> {
   TRbMap tree_;
 };
 
-void ablation_tree(const Cli& cli) {
+void ablation_tree(std::uint64_t ops) {
   std::printf("## C. semantic RB-tree descent (extension beyond the paper)\n");
-  const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 400));
   for (const bool semantic_descent : {false, true}) {
     TreeWorkload w(semantic_descent);
     RunConfig cfg;
@@ -133,10 +130,9 @@ void ablation_tree(const Cli& cli) {
 
 // -- D: simulator quantum sensitivity -----------------------------------------
 
-void ablation_quantum(const Cli& cli) {
+void ablation_quantum(std::uint64_t ops) {
   std::printf("## D. simulator quantum sensitivity (result stability)\n");
   std::printf("quantum,snorec_abort%%,norec_abort%%\n");
-  const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 250));
   for (const std::uint64_t q : {0ull, 8ull, 24ull, 64ull}) {
     double aborts[2];
     int k = 0;
@@ -160,10 +156,16 @@ void ablation_quantum(const Cli& cli) {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
+  // --ops N overrides every study's own default op count.
+  const bool ops_set = cli.has("ops");
+  const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 0));
+  cli.reject_unread();
+  const auto ops_or = [&](std::uint64_t dflt) { return ops_set ? ops : dflt; };
+
   std::printf("# semstm ablation studies\n\n");
-  ablation_clause(cli);
-  ablation_orecs(cli);
-  ablation_tree(cli);
-  ablation_quantum(cli);
+  ablation_clause(ops_or(250));
+  ablation_orecs(ops_or(250));
+  ablation_tree(ops_or(400));
+  ablation_quantum(ops_or(250));
   return 0;
 }

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   BankWorkload::Params params;
   params.hot_accounts = static_cast<std::size_t>(cli.get_int("hot-accounts", 0));
   params.hot_pct = static_cast<unsigned>(cli.get_int("hot-pct", 0));
+  cli.reject_unread();
   if (params.hot_accounts > params.accounts || params.hot_pct > 100) {
     std::fprintf(stderr,
                  "error: --hot-accounts must be <= %zu and --hot-pct <= 100\n",

@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   spec.threads = {1, 2, 4, 8, 12, 16, 20, 24};
   spec.ops_per_thread = 400;
   bench::apply_cli(spec, cli);
+  cli.reject_unread();
   bench::run_figure(spec, [](bool semantic) {
     return std::make_unique<HashtableWorkload>(HashtableWorkload::Params{},
                                                semantic);

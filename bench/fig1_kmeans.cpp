@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   spec.ops_per_thread = 12000;  // total points, divided across threads
   spec.fixed_total_work = true;
   bench::apply_cli(spec, cli);
+  cli.reject_unread();
   bench::run_figure(spec, [](bool semantic) {
     return std::make_unique<KmeansWorkload>(KmeansWorkload::Params{},
                                             semantic);

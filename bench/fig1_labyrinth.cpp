@@ -6,17 +6,18 @@
 int main(int argc, char** argv) {
   using namespace semstm;
   Cli cli(argc, argv);
+  bench::FigureSpec spec;
+  spec.metric = "time";
+  spec.threads = {1, 2, 4, 6, 8, 10, 12};
+  spec.ops_per_thread = 96;  // total routing requests
+  spec.fixed_total_work = true;
+  bench::apply_cli(spec, cli);
+  cli.reject_unread();
 
   for (const bool optimized : {false, true}) {
-    bench::FigureSpec spec;
     spec.name = optimized
                     ? "Figure 1m/1n: Labyrinth 2 (copy outside transaction)"
                     : "Figure 1k/1l: Labyrinth 1 (copy inside transaction)";
-    spec.metric = "time";
-    spec.threads = {1, 2, 4, 6, 8, 10, 12};
-    spec.ops_per_thread = 96;  // total routing requests
-    spec.fixed_total_work = true;
-    bench::apply_cli(spec, cli);
     bench::run_figure(spec, [optimized](bool semantic) {
       LabyrinthWorkload::Params p;
       p.variant = optimized ? LabyrinthWorkload::Variant::kCopyOutsideTx

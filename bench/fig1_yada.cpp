@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   spec.ops_per_thread = 6000;  // total refinement attempts
   spec.fixed_total_work = true;
   bench::apply_cli(spec, cli);
+  cli.reject_unread();
   bench::run_figure(spec, [](bool semantic) {
     return std::make_unique<YadaWorkload>(YadaWorkload::Params{}, semantic);
   });

@@ -199,30 +199,29 @@ int main(int argc, char** argv) {
       {"snorec", true, "S-NOrec-GCC"},
   };
 
-  {
-    FigureSpec spec;
-    spec.name = "Figure 2a/2b: Hashtable (GCC path)";
-    spec.metric = "throughput";
-    spec.threads = {1, 2, 4, 8, 12, 16, 20, 24};
-    spec.ops_per_thread = 200;
-    spec.series = gcc_series;
-    apply_cli(spec, cli);
-    run_figure(spec, [](bool marked) {
-      return std::make_unique<IrHashWorkload>(marked);
-    });
-  }
-  {
-    FigureSpec spec;
-    spec.name = "Figure 2c/2d: Vacation (GCC path)";
-    spec.metric = "time";
-    spec.threads = {1, 2, 4, 8, 12, 16, 20, 24};
-    spec.ops_per_thread = 4000;
-    spec.fixed_total_work = true;
-    spec.series = gcc_series;
-    apply_cli(spec, cli);
-    run_figure(spec, [](bool marked) {
-      return std::make_unique<IrVacationWorkload>(marked);
-    });
-  }
+  FigureSpec hash;
+  hash.name = "Figure 2a/2b: Hashtable (GCC path)";
+  hash.metric = "throughput";
+  hash.threads = {1, 2, 4, 8, 12, 16, 20, 24};
+  hash.ops_per_thread = 200;
+  hash.series = gcc_series;
+  apply_cli(hash, cli);
+
+  FigureSpec vacation;
+  vacation.name = "Figure 2c/2d: Vacation (GCC path)";
+  vacation.metric = "time";
+  vacation.threads = {1, 2, 4, 8, 12, 16, 20, 24};
+  vacation.ops_per_thread = 4000;
+  vacation.fixed_total_work = true;
+  vacation.series = gcc_series;
+  apply_cli(vacation, cli);
+  cli.reject_unread();
+
+  run_figure(hash, [](bool marked) {
+    return std::make_unique<IrHashWorkload>(marked);
+  });
+  run_figure(vacation, [](bool marked) {
+    return std::make_unique<IrVacationWorkload>(marked);
+  });
   return 0;
 }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "obs/abort_cause.hpp"
-#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "util/cli.hpp"
@@ -34,6 +33,10 @@ struct AlgoConfig {
   std::string label;     ///< series label in the output
 };
 
+/// Simulator scheduling slack of every figure run: amortizes fiber
+/// switches (see sched::SimOptions::quantum). Ablation D sweeps it.
+inline constexpr std::uint64_t kSimQuantum = 24;
+
 struct FigureSpec {
   std::string name;                  // e.g. "Figure 1a/1b: Hashtable"
   std::string metric;                // "throughput" or "time"
@@ -42,10 +45,8 @@ struct FigureSpec {
   bool fixed_total_work = false;     // divide total ops across threads
   std::uint64_t seed = 0x5EED;
   ExecMode mode = ExecMode::kSim;
-  std::uint64_t sim_quantum = 24;  // amortize fiber switches (see SimOptions)
   /// When non-empty, every (series × thread-count) run is traced and the
   /// merged Chrome trace_event JSON is written here (--trace out.json).
-  /// Requires a -DSEMSTM_TRACE=ON build to produce events.
   std::string trace_path;
   /// When non-empty, the machine-readable summary (the same object printed
   /// as the trailing "# JSON {...}" line) is also written to this file —
@@ -54,10 +55,8 @@ struct FigureSpec {
   /// When non-empty (--metrics-out out.jsonl), every (series ×
   /// thread-count) run collects windowed metrics + hot sites and appends
   /// them as JSON-lines here (obs::MetricsWriter schema; rendered by
-  /// examples/tm_top). Requires -DSEMSTM_TRACE=ON to carry data.
+  /// examples/tm_top), over windows of the collector's default width.
   std::string metrics_path;
-  /// Metrics window width in obs clock units (--metrics-window).
-  std::uint64_t metrics_window = std::uint64_t{1} << 14;
   std::vector<AlgoConfig> series = {
       {"norec", false, "NOrec"},
       {"snorec", true, "S-NOrec"},
@@ -84,28 +83,9 @@ inline void apply_cli(FigureSpec& spec, const Cli& cli) {
                  mode.c_str());
     std::exit(2);
   }
-  spec.sim_quantum = static_cast<std::uint64_t>(
-      cli.get_int("quantum", static_cast<std::int64_t>(spec.sim_quantum)));
   spec.trace_path = cli.get("trace", spec.trace_path);
   spec.json_out = cli.get("json-out", spec.json_out);
   spec.metrics_path = cli.get("metrics-out", spec.metrics_path);
-  spec.metrics_window = static_cast<std::uint64_t>(cli.get_int(
-      "metrics-window", static_cast<std::int64_t>(spec.metrics_window)));
-  if (spec.metrics_window == 0) {
-    std::fprintf(stderr, "error: --metrics-window must be positive\n");
-    std::exit(2);
-  }
-  if (!spec.trace_path.empty() && !obs::kTraceEnabled) {
-    std::fprintf(stderr,
-                 "warning: --trace requested but this binary was built "
-                 "without -DSEMSTM_TRACE=ON; the trace will be empty\n");
-  }
-  if (!spec.metrics_path.empty() && !obs::kTraceEnabled) {
-    std::fprintf(stderr,
-                 "warning: --metrics-out requested but this binary was built "
-                 "without -DSEMSTM_TRACE=ON; windows and hot sites will be "
-                 "empty\n");
-  }
 }
 
 struct SeriesPoint {
@@ -152,7 +132,7 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
           out,
           "%s{\"threads\":%u,\"metric\":%.6g,\"speedup\":%.4g,"
           "\"abort_pct\":%.4g,"
-          "\"commits\":%llu,\"aborts\":%llu,\"retries\":%llu,"
+          "\"commits\":%llu,\"aborts\":%llu,"
           "\"fallbacks\":%llu,\"max_consec_aborts\":%llu,"
           "\"exceptions\":%llu,\"validations\":%llu,"
           "\"readset_adds\":%llu,\"readset_dups\":%llu,"
@@ -162,7 +142,6 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
           p.abort_pct,
           static_cast<unsigned long long>(st.commits),
           static_cast<unsigned long long>(st.aborts),
-          static_cast<unsigned long long>(st.retries),
           static_cast<unsigned long long>(st.fallbacks),
           static_cast<unsigned long long>(st.max_consec_aborts),
           static_cast<unsigned long long>(st.exceptions),
@@ -177,8 +156,8 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
                      static_cast<unsigned long long>(
                          st.abort_cause(static_cast<obs::AbortCause>(c))));
       }
-      // Latency percentiles (obs ticks). All-zero unless the binary was
-      // built with -DSEMSTM_TRACE=ON — the schema is stable either way.
+      // Latency percentiles (obs ticks). All-zero unless the run was
+      // observed (--trace or --metrics-out); the schema is stable either way.
       std::fprintf(
           out,
           "},\"commit_p50\":%llu,\"commit_p99\":%llu,"
@@ -193,8 +172,8 @@ inline void emit_json_summary(std::FILE* out, const FigureSpec& spec,
           static_cast<unsigned long long>(st.lat_backoff.percentile(99)),
           static_cast<unsigned long long>(st.lat_gate.percentile(50)),
           static_cast<unsigned long long>(st.lat_gate.percentile(99)));
-      // Contention cartography (all-zero/empty without -DSEMSTM_TRACE=ON;
-      // schema stable either way). trace_dropped makes ring exhaustion a
+      // Contention cartography (all-zero/empty unless observed; schema
+      // stable either way). trace_dropped makes ring exhaustion a
       // machine-checkable condition instead of a flame-summary footnote.
       std::fprintf(out,
                    ",\"trace_dropped\":%llu,\"conflict_overflow\":%llu,"
@@ -260,10 +239,10 @@ inline void run_figure(const FigureSpec& spec, const WorkloadFactory& make) {
         cfg.ops_by_thread = split_total_ops(spec.ops_per_thread, threads);
       }
       cfg.seed = spec.seed;
-      cfg.sim_quantum = spec.sim_quantum;
+      cfg.sim_quantum = kSimQuantum;
       obs::TraceCollector collector;
       if (!spec.trace_path.empty()) cfg.trace = &collector;
-      obs::MetricsCollector metrics(spec.metrics_window);
+      obs::MetricsCollector metrics;
       if (metrics_writer != nullptr) cfg.metrics = &metrics;
       auto w = make(spec.series[s].semantic_build);
       const RunResult r = run_workload(cfg, *w);
@@ -272,7 +251,7 @@ inline void run_figure(const FigureSpec& spec, const WorkloadFactory& make) {
           spec.series[s].label + "/" + std::to_string(threads) + "t";
       if (cfg.trace != nullptr) exporter.add_run(run_label, collector);
       if (metrics_writer != nullptr) {
-        metrics_writer->add_run(run_label, r.units, spec.metrics_window,
+        metrics_writer->add_run(run_label, r.units, metrics.width(),
                                 threads, r.windows, r.hot_sites,
                                 r.conflict_overflow);
       }

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const std::string algo_name = cli.get("algo", "snorec");
   const unsigned threads = static_cast<unsigned>(cli.get_int("threads", 8));
   const std::uint64_t ops = static_cast<std::uint64_t>(cli.get_int("ops", 2000));
+  cli.reject_unread();
 
   auto algo = make_algorithm(algo_name);
   TQueue queue(1024, /*use_semantics=*/algo->semantic());

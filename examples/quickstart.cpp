@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace semstm;
   Cli cli(argc, argv);
   const std::string algo_name = cli.get("algo", "snorec");
+  cli.reject_unread();
 
   // 1. Instantiate a TM algorithm (one per "TM system").
   auto algo = make_algorithm(algo_name);
@@ -66,10 +67,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(s.increments));
 
   // 7. Contention cartography: which locations this descriptor aborted
-  //    over, via the public reporting API (obs/report.hpp). Single-threaded
-  //    and conflict-free here — and empty in non-SEMSTM_TRACE builds — so
-  //    this prints the truthful "none recorded" line; run a fig1 bench with
-  //    --metrics-out and render it with tm_top for the real thing.
+  //    over, via the public reporting API (obs/report.hpp). Conflict-free
+  //    and unobserved (no sink bound) here, so this prints the truthful
+  //    "none recorded" line; run a fig1 bench with --metrics-out and render
+  //    it with tm_top for the real thing.
   const auto hot = obs::top_sites(ctx.tx->base.conflict_map(), 5);
   std::fputs(obs::render_hot_sites(hot).c_str(), stdout);
   return 0;

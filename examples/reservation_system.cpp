@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const unsigned threads = static_cast<unsigned>(cli.get_int("threads", 8));
   const std::uint64_t sessions =
       static_cast<std::uint64_t>(cli.get_int("sessions", 1500));
+  cli.reject_unread();
   constexpr std::size_t kResources = 128;
   constexpr std::int64_t kInitialSlots = 200;
 

@@ -7,10 +7,10 @@
 // averages hide), peak-window callouts, and the ranked hot-site table
 // (which addresses/orecs the run actually fought over).
 //
-// Exit status (relied on by scripts/ci_metrics_smoke.sh):
+// Exit status (relied on by scripts/ci_obs_smoke.sh):
 //   0  parsed and rendered at least one run
 //   1  file readable but schema-invalid (or empty of runs)
-//   2  file could not be opened
+//   2  file could not be opened, or a bad command line
 #include <cstdio>
 #include <string>
 
@@ -22,11 +22,12 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string in = cli.get("in", "");
   const auto top_k = static_cast<std::size_t>(cli.get_int("top", 10));
+  cli.reject_unread();
   if (in.empty()) {
     std::fprintf(stderr,
                  "usage: tm_top --in metrics.jsonl [--top N]\n"
                  "  (produce metrics.jsonl with a fig1 bench's "
-                 "--metrics-out, SEMSTM_TRACE build)\n");
+                 "--metrics-out)\n");
     return obs::kReportIoError;
   }
   std::string report;

@@ -9,14 +9,13 @@
 #   3. ci_sanitize.sh      (ASan/UBSan over the full suite)
 #   4. ci_tsan.sh          (TSan over the real-thread tests; self-skipping
 #                           when the toolchain has no TSan runtime)
-#   5. ci_trace_smoke.sh   (SEMSTM_TRACE build + trace pipeline smoke,
-#                           including drop-free trace-ring accounting)
-#   6. ci_metrics_smoke.sh (windowed metrics + hot-site pipeline: JSON-lines
-#                           schema, tm_top exit-status contract)
-#   7. ci_perf_smoke.sh    (Release rebuild vs committed perf baselines)
-#   8. ci_scale_smoke.sh   (real-thread commit-path scaling gate at 1/2/4
+#   5. ci_obs_smoke.sh     (one observed fig1 run on the tier-1 build:
+#                           drop-free trace, attributed aborts, JSON-lines
+#                           metrics schema, hot sites, tm_top exit codes)
+#   6. ci_perf_smoke.sh    (Release rebuild vs committed perf baselines)
+#   7. ci_scale_smoke.sh   (real-thread commit-path scaling gate at 1/2/4
 #                           threads; self-skipping on hosts with <4 cores —
-#                           runs last so it can reuse build-bench from 7)
+#                           runs last so it can reuse build-bench from 6)
 #
 # Usage: scripts/ci_all.sh
 set -euo pipefail
@@ -24,30 +23,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs="$(nproc)"
 
-echo "=== [1/8] build + tier-1 ctest ==="
+echo "=== [1/7] build + tier-1 ctest ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${jobs}" >/dev/null
 ctest --test-dir build --output-on-failure
 
-echo "=== [2/8] static analysis ==="
+echo "=== [2/7] static analysis ==="
 scripts/ci_lint.sh
 
-echo "=== [3/8] address sanitizer ==="
+echo "=== [3/7] address sanitizer ==="
 scripts/ci_sanitize.sh
 
-echo "=== [4/8] thread sanitizer ==="
+echo "=== [4/7] thread sanitizer ==="
 scripts/ci_tsan.sh
 
-echo "=== [5/8] trace smoke ==="
-scripts/ci_trace_smoke.sh
+echo "=== [5/7] observability smoke ==="
+scripts/ci_obs_smoke.sh
 
-echo "=== [6/8] metrics smoke ==="
-scripts/ci_metrics_smoke.sh
-
-echo "=== [7/8] perf smoke ==="
+echo "=== [6/7] perf smoke ==="
 scripts/ci_perf_smoke.sh
 
-echo "=== [8/8] real-thread scaling smoke ==="
+echo "=== [7/7] real-thread scaling smoke ==="
 scripts/ci_scale_smoke.sh
 
 echo "ci_all: all stages passed"

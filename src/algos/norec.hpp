@@ -144,7 +144,7 @@ class NorecCoreT : public TxCoreBase {
   /// path (taken only when a writer committed since the snapshot) would
   /// drag its nested loops into each of them.
   [[gnu::noinline]] std::uint64_t validate() {
-    obs::ScopedLatency lat(stats.lat_validate);
+    obs::ScopedLatency lat(latency_sink(stats.lat_validate));
     for (;;) {
       const std::uint64_t time = shared_.lock().sample_even();
       ++stats.validations;

@@ -274,7 +274,7 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   /// outcome. False only means "cannot tell from versions": the caller
   /// re-evaluates the clauses.
   bool cmp_versions_hold() {
-    obs::ScopedLatency lat(stats.lat_validate);
+    obs::ScopedLatency lat(latency_sink(stats.lat_validate));
     ++stats.validations;
     for (const Orec* o : cmp_orecs_) {
       sched::tick(sched::Cost::kValidateEntry);
@@ -313,7 +313,7 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   /// revalidation failure — the signature abort of the semantic design.
   /// At commit it runs only when cmp_versions_hold() cannot vouch.
   bool compare_set_holds(bool may_wait) {
-    obs::ScopedLatency lat(stats.lat_validate);
+    obs::ScopedLatency lat(latency_sink(stats.lat_validate));
     ++stats.validations;
     for (const auto clause : compares_) {
       sched::tick(sched::Cost::kValidateEntry);

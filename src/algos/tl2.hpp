@@ -180,7 +180,7 @@ class Tl2CoreT : public TxCoreBase {
   /// the attribution for the caller's abort: a locked orec is a lock
   /// conflict with a concurrent committer, a moved version a stale read.
   bool readset_holds() {
-    obs::ScopedLatency lat(stats.lat_validate);
+    obs::ScopedLatency lat(latency_sink(stats.lat_validate));
     ++stats.validations;
     for (const Orec* o : reads_) {
       sched::tick(sched::Cost::kValidateEntry);

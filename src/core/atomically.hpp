@@ -18,10 +18,11 @@
 // dispatch_algorithm(), once per transaction (DESIGN.md §4.12).
 //
 // Observability: this loop is where abort causes recorded by abort_tx()
-// are folded into TxStats::abort_causes, and — in SEMSTM_TRACE builds —
-// where attempt latency, backoff waits and serial-token hold times are
-// measured and begin/commit/abort/fallback events are pushed into the
-// descriptor's trace ring (src/obs).
+// are folded into TxStats::abort_causes, and — for a descriptor the run
+// bound a trace ring or metrics series to — where attempt latency, backoff
+// waits and serial-token hold times are measured, begin/commit/abort/
+// fallback events are pushed into the trace ring and metrics windows are
+// sampled (src/obs).
 #pragma once
 
 #include <type_traits>
@@ -39,58 +40,35 @@ namespace detail {
 /// Retry-loop bookkeeping shared by the void and value-returning paths.
 /// Templated on the concrete descriptor type (NorecCore, ...), so every
 /// tx.* call below binds statically and inlines (DESIGN.md §4.12).
+///
+/// Observation is decided once per atomically() call from the sinks bound
+/// to the descriptor. Unobserved, the hot path carries one predictable
+/// branch at attempt start and one at commit; the recording bodies are
+/// cold and out of line, like the abort and exception unwinders.
 template <typename TxT>
 struct AttemptLoop {
   TxT& tx;
   ContentionManager& cm;
+  /// A trace ring or metrics series is bound (--trace, --metrics-out).
+  bool observed = tx.trace_ring() != nullptr || tx.metrics_series() != nullptr;
   std::uint64_t consecutive = 0;
   bool irrevocable = false;
-  std::uint64_t attempt_start = 0;  ///< obs ticks (traced builds only)
+  std::uint64_t attempt_start = 0;  ///< obs ticks (observed runs only)
   std::uint64_t gate_acquired = 0;  ///< obs ticks of token acquisition
-
-  void trace(obs::EventKind kind, std::uint64_t ts, std::uint64_t dur,
-             obs::AbortCause cause = obs::AbortCause::kUnknown,
-             const void* addr = nullptr) noexcept {
-    if constexpr (obs::kTraceEnabled) {
-      if (obs::TraceRing* ring = tx.trace_ring()) {
-        ring->push(obs::TraceEvent{ts, dur, addr, kind, cause, 0});
-      }
-    } else {
-      (void)kind, (void)ts, (void)dur, (void)cause, (void)addr;
-    }
-  }
-
-  /// Windowed-metrics hook (obs/metrics.hpp): fold the descriptor's
-  /// cumulative stats into its bound WindowSeries at every attempt end, so
-  /// an attempt's whole delta lands in the window containing its end and
-  /// windows partition the run exactly. No-op unless a series is bound;
-  /// compiles away with the trace gate off.
-  void sample_metrics() noexcept {
-    if constexpr (obs::kTraceEnabled) {
-      if (obs::WindowSeries* s = tx.metrics_series()) {
-        s->sample(obs::now_ticks(), tx.stats);
-      }
-    }
-  }
 
   void on_attempt_start() noexcept {
     tx.clear_last_abort();
-    if constexpr (obs::kTraceEnabled) {
-      attempt_start = obs::now_ticks();
-      trace(obs::EventKind::kBegin, attempt_start, 0);
-    }
+    if (observed) [[unlikely]] observe_start();
   }
 
   void on_commit() noexcept {
     ++tx.stats.commits;
-    if constexpr (obs::kTraceEnabled) {
-      const std::uint64_t now = obs::now_ticks();
-      tx.stats.lat_commit.record(now - attempt_start);
-      trace(obs::EventKind::kCommit, now, now - attempt_start);
+    if (observed) [[unlikely]] {
+      observe_commit();
+      return;
     }
     release_token();
     cm.on_finish();
-    sample_metrics();
   }
 
   // The abort and exception unwinders stay out of line (cold): they are
@@ -100,14 +78,14 @@ struct AttemptLoop {
   [[gnu::cold, gnu::noinline]] void on_abort() {
     tx.rollback();
     ++tx.stats.aborts;
-    ++tx.stats.retries;
     ++consecutive;
     if (consecutive > tx.stats.max_consec_aborts) {
       tx.stats.max_consec_aborts = consecutive;
     }
     const obs::AbortInfo& why = tx.last_abort();
     tx.stats.note_abort_cause(why.cause);
-    if constexpr (obs::kTraceEnabled) {
+    if (observed) {
+      record_conflict(why);
       const std::uint64_t now = obs::now_ticks();
       trace(obs::EventKind::kAbort, now, now - attempt_start, why.cause,
             why.addr);
@@ -116,21 +94,18 @@ struct AttemptLoop {
     // (with the system quiesced they cannot abort again); everyone else
     // asks the policy whether to wait or to escalate.
     if (!irrevocable) {
-      std::uint64_t wait_start = 0;
-      if constexpr (obs::kTraceEnabled) wait_start = obs::now_ticks();
+      const std::uint64_t wait_start = observed ? obs::now_ticks() : 0;
       const bool escalate = cm.on_abort(consecutive);
-      if constexpr (obs::kTraceEnabled) {
-        tx.stats.lat_backoff.record(obs::now_ticks() - wait_start);
-      }
+      if (observed) tx.stats.lat_backoff.record(obs::now_ticks() - wait_start);
       if (escalate && tx.serial_gate() != nullptr) {
         ++tx.stats.fallbacks;
-        trace(obs::EventKind::kFallback, obs::now_ticks(), 0);
+        if (observed) trace(obs::EventKind::kFallback, obs::now_ticks(), 0);
         tx.serial_gate()->acquire(tx.tx_id());
-        if constexpr (obs::kTraceEnabled) gate_acquired = obs::now_ticks();
+        if (observed) gate_acquired = obs::now_ticks();
         irrevocable = true;
       }
     }
-    sample_metrics();
+    if (observed) sample_metrics();
   }
 
   [[gnu::cold, gnu::noinline]] void on_exception() noexcept {
@@ -138,14 +113,58 @@ struct AttemptLoop {
     ++tx.stats.exceptions;
     release_token();
     cm.on_finish();
-    sample_metrics();
+    if (observed) sample_metrics();
   }
 
  private:
+  /// Fold a location-carrying abort into the descriptor's conflict map, at
+  /// the same point as the cause histogram, so per-site counts never
+  /// exceed per-cause totals. A descriptor wrapper without a conflict map
+  /// records no sites.
+  void record_conflict(const obs::AbortInfo& why) {
+    if constexpr (requires { tx.conflict_map(); }) {
+      if (why.addr != nullptr) {
+        tx.conflict_map().record(why.cause, why.addr, why.orec, why.owner);
+      }
+    }
+  }
+
+  void trace(obs::EventKind kind, std::uint64_t ts, std::uint64_t dur,
+             obs::AbortCause cause = obs::AbortCause::kUnknown,
+             const void* addr = nullptr) noexcept {
+    if (obs::TraceRing* ring = tx.trace_ring()) {
+      ring->push(obs::TraceEvent{ts, dur, addr, kind, cause, 0});
+    }
+  }
+
+  /// Windowed-metrics hook (obs/metrics.hpp): fold the descriptor's
+  /// cumulative stats into its bound WindowSeries at every attempt end, so
+  /// an attempt's whole delta lands in the window containing its end and
+  /// windows partition the run exactly.
+  void sample_metrics() noexcept {
+    if (obs::WindowSeries* s = tx.metrics_series()) {
+      s->sample(obs::now_ticks(), tx.stats);
+    }
+  }
+
+  [[gnu::cold, gnu::noinline]] void observe_start() noexcept {
+    attempt_start = obs::now_ticks();
+    trace(obs::EventKind::kBegin, attempt_start, 0);
+  }
+
+  [[gnu::cold, gnu::noinline]] void observe_commit() noexcept {
+    const std::uint64_t now = obs::now_ticks();
+    tx.stats.lat_commit.record(now - attempt_start);
+    trace(obs::EventKind::kCommit, now, now - attempt_start);
+    release_token();
+    cm.on_finish();
+    sample_metrics();
+  }
+
   void release_token() noexcept {
     if (irrevocable) {
       tx.serial_gate()->release();
-      if constexpr (obs::kTraceEnabled) {
+      if (observed) {
         const std::uint64_t now = obs::now_ticks();
         tx.stats.lat_gate.record(now - gate_acquired);
         trace(obs::EventKind::kSerialHold, now, now - gate_acquired);

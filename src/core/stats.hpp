@@ -29,14 +29,14 @@ namespace semstm {
 // abandoned rather than retried, so folding it into `aborts` would skew
 // abort_pct() — the very series Figures 1–2 plot — with events that are not
 // contention. An explicit user_abort() IS an abort (cause kUserAbort):
-// the attempt is retried. `retries` counts loop-backs after an abort (the
-// attempt that follows each abort), `fallbacks` counts escalations to the
-// serial-irrevocable token, and `max_consec_aborts` is the high-water mark
-// of consecutive aborts of a single atomically() invocation (aggregated
-// with max, not sum).
+// the attempt is retried, so every abort is followed by exactly one retry.
+// `fallbacks` counts escalations to the serial-irrevocable token, and
+// `max_consec_aborts` is the high-water mark of consecutive aborts of a
+// single atomically() invocation (aggregated with max, not sum).
 //
-// Latency histograms (populated only in SEMSTM_TRACE builds; always
-// present so the reporting schema is stable):
+// Latency histograms (populated only for descriptors a run binds a trace
+// ring or metrics series to; always present so the reporting schema is
+// stable):
 //   lat_commit   — begin() -> successful commit, committed attempts only
 //   lat_validate — one read-set / compare-set validation pass (aborting
 //                  passes included: ScopedLatency records during unwind)
@@ -50,7 +50,6 @@ struct TxStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
   std::uint64_t exceptions = 0;   ///< attempts abandoned by a user exception
-  std::uint64_t retries = 0;      ///< re-attempts after an abort
   std::uint64_t fallbacks = 0;    ///< serial-irrevocable escalations
   std::uint64_t max_consec_aborts = 0;  ///< worst single-transaction streak
 
@@ -100,7 +99,6 @@ struct TxStats {
     commits += o.commits;
     aborts += o.aborts;
     exceptions += o.exceptions;
-    retries += o.retries;
     fallbacks += o.fallbacks;
     if (o.max_consec_aborts > max_consec_aborts) {
       max_consec_aborts = o.max_consec_aborts;
@@ -140,7 +138,6 @@ struct TxStats {
     commits -= o.commits;
     aborts -= o.aborts;
     exceptions -= o.exceptions;
-    retries -= o.retries;
     fallbacks -= o.fallbacks;
     // max_consec_aborts: keep the running max (see contract above).
     reads -= o.reads;

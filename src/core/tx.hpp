@@ -96,21 +96,26 @@ class TxCoreBase {
   [[noreturn]] void user_abort() { abort_tx(obs::AbortCause::kUserAbort); }
 
   /// The event-trace ring this descriptor records into, or null. Bound by
-  /// the driver when a run is traced; recording compiles away entirely
-  /// unless the build sets SEMSTM_TRACE (obs::kTraceEnabled).
+  /// the driver when a run is traced (--trace).
   void bind_trace(obs::TraceRing* ring) noexcept { trace_ = ring; }
   obs::TraceRing* trace_ring() const noexcept { return trace_; }
 
   /// The windowed-metrics series this descriptor samples into, or null.
   /// Bound by the driver when a run collects metrics (--metrics-out);
-  /// atomically()'s retry loop samples at every attempt end. Like tracing,
-  /// sampling compiles away unless SEMSTM_TRACE is set.
+  /// atomically()'s retry loop samples at every attempt end.
   void bind_metrics(obs::WindowSeries* series) noexcept { metrics_ = series; }
   obs::WindowSeries* metrics_series() const noexcept { return metrics_; }
 
+  /// Whether a sink is bound. Only an observed descriptor records latency
+  /// histograms, trace events, metrics windows and conflict sites; an
+  /// unobserved one keeps only the TxStats counters.
+  bool observed() const noexcept {
+    return trace_ != nullptr || metrics_ != nullptr;
+  }
+
   /// Conflict sites this descriptor aborted over (obs/conflict_map.hpp).
-  /// Populated by abort_tx() in SEMSTM_TRACE builds only; always present
-  /// (and empty in gate-off builds) so reporting callers need no #ifdefs.
+  /// atomically() fills it while the descriptor is observed; empty
+  /// otherwise.
   const obs::ConflictMap& conflict_map() const noexcept { return conflicts_; }
   obs::ConflictMap& conflict_map() noexcept { return conflicts_; }
 
@@ -127,12 +132,11 @@ class TxCoreBase {
   /// kSerialGatePreempt — the root cause is the serial transaction the
   /// system is quiescing for, not ordinary contention.
   ///
-  /// In SEMSTM_TRACE builds, every location-carrying abort is also folded
-  /// into this descriptor's ConflictMap — after the reclassification, so
-  /// per-site cause counts stay comparable with stats.abort_causes
-  /// (DESIGN.md §4.15 accounting contract). `owner` is the conflicting
-  /// orec's owner when the site could read one (best-effort; self-owned
-  /// hints are dropped — a transaction is never its own victim).
+  /// atomically() folds the recorded attribution into stats.abort_causes
+  /// and, when the descriptor is observed, into its ConflictMap (DESIGN.md
+  /// §4.15 accounting contract). `owner` is the conflicting orec's owner
+  /// when the site could read one (best-effort; self-owned hints are
+  /// dropped — a transaction is never its own victim).
   ///
   /// Kept out of line (cold): every per-access fast path carries several
   /// abort sites, and with the core type known at every call site
@@ -152,26 +156,19 @@ class TxCoreBase {
     last_abort_.addr = addr;
     last_abort_.orec = orec;
     last_abort_.owner = owner;
-    if constexpr (obs::kTraceEnabled) {
-      if (addr != nullptr) conflicts_.record(cause, addr, orec, owner);
-    }
     throw TxAbort{};
   }
 
-  /// Record a semantic-operation trace event (no-op unless SEMSTM_TRACE
-  /// and a ring is bound). Called from the semantic algorithms' hooks.
+  /// Record a semantic-operation trace event when a ring is bound. Called
+  /// from the semantic algorithms' hooks; unobserved, one branch.
   void trace_semantic_op(obs::SemanticOp op, const void* addr) noexcept {
-    if constexpr (obs::kTraceEnabled) {
-      if (trace_ != nullptr) {
-        trace_->push(obs::TraceEvent{obs::now_ticks(), 0, addr,
-                                     obs::EventKind::kSemanticOp,
-                                     obs::AbortCause::kUnknown,
-                                     static_cast<std::uint8_t>(op)});
-      }
-    } else {
-      (void)op;
-      (void)addr;
-    }
+    if (trace_ != nullptr) [[unlikely]] push_semantic_op(op, addr);
+  }
+
+  /// The histogram a validation pass times into (obs::ScopedLatency):
+  /// `h` when the descriptor is observed, null otherwise.
+  obs::LatencyHistogram* latency_sink(obs::LatencyHistogram& h) noexcept {
+    return observed() ? &h : nullptr;
   }
 
   /// Called by concrete cores' constructors to share the algorithm's gate.
@@ -198,6 +195,14 @@ class TxCoreBase {
   }
 
  private:
+  [[gnu::cold, gnu::noinline]] void push_semantic_op(
+      obs::SemanticOp op, const void* addr) noexcept {
+    trace_->push(obs::TraceEvent{obs::now_ticks(), 0, addr,
+                                 obs::EventKind::kSemanticOp,
+                                 obs::AbortCause::kUnknown,
+                                 static_cast<std::uint8_t>(op)});
+  }
+
   SerialGate* gate_ = nullptr;
   bool gate_entered_ = false;
   obs::AbortInfo last_abort_;

@@ -1,11 +1,12 @@
-// Observability compile gate and time source.
+// Observability time source.
 //
-// The whole src/obs subsystem is *always compiled* (and unit-tested) so it
-// cannot rot behind the flag; what the SEMSTM_TRACE compile-time gate
-// controls is whether the hot paths *record* into it. With the gate off
-// (the default) every recording site is an `if constexpr (false)` — zero
-// instructions on the transaction fast path. Build with
-// `cmake -DSEMSTM_TRACE=ON` to light it up.
+// Recording is a per-run decision, not a build option: a descriptor
+// records latency histograms, trace events, metrics windows and conflict
+// sites only while the driver has bound it a sink (a TraceRing for
+// --trace, a WindowSeries for --metrics-out). An unobserved descriptor
+// pays one predictable branch per attempt, per validation pass and per
+// semantic op; the recording bodies stay out of line and cold
+// (core/atomically.hpp, core/tx.hpp).
 #pragma once
 
 #include <chrono>
@@ -15,18 +16,17 @@
 
 namespace semstm::obs {
 
-#if defined(SEMSTM_TRACE) && SEMSTM_TRACE
-inline constexpr bool kTraceEnabled = true;
-#else
+/// Always false: recording is decided per run, not per build. Kept only
+/// for the benchmark harness's build-configuration check.
 inline constexpr bool kTraceEnabled = false;
-#endif
 
 /// Current time in "ticks". Under the virtual scheduler this is the
 /// running fiber's deterministic virtual clock — the same unit as makespan
 /// and throughput, so latency histograms and traces line up with the
-/// figures. Under real threads it is a monotonic hardware clock in
-/// nanoseconds (rdtsc would be cheaper but needs invariant-TSC probing;
-/// traced builds are diagnostic builds, so portability wins).
+/// figures. Reading it charges no ticks, so observing a simulated run does
+/// not change its schedule. Under real threads it is a monotonic hardware
+/// clock in nanoseconds (rdtsc would be cheaper but needs invariant-TSC
+/// probing; observed runs are diagnostic runs, so portability wins).
 inline std::uint64_t now_ticks() noexcept {
   if (const sched::YieldHook* h = sched::hook()) return h->now();
   return static_cast<std::uint64_t>(

@@ -5,8 +5,9 @@
 // Proust object-level-conflict comparison (PAPERS.md) both hinge on. Every
 // attributed abort site already carries the conflicting address (and, for
 // the orec-based algorithms, the conflicting orec and — when readable —
-// its owner); TxCoreBase::abort_tx() folds that tag into a per-descriptor
-// ConflictMap keyed by conflict *site*:
+// its owner); TxCoreBase::abort_tx() records that tag and atomically()'s
+// retry loop folds it into a per-descriptor ConflictMap keyed by conflict
+// *site*:
 //
 //   - orec-granular sites (TL2 / S-TL2) key on the orec table index: many
 //     addresses hash onto one orec, and the orec is what the algorithm
@@ -15,12 +16,12 @@
 //   - address-granular sites (NOrec family value/cmp validation) key on
 //     the word region (kRegionShift; word granularity by default).
 //
-// Recording rides the abort path — already cold and out of line — but is
-// still compile-gated behind SEMSTM_TRACE like the rest of the recording
-// layer: with the gate off the map never allocates and record() compiles
-// away at the call site. The map is single-writer (its owning descriptor);
-// aggregation happens after the run via merge(), the same
-// single-writer-then-merge discipline as TxStats.
+// Recording rides the abort path — already cold and out of line — and,
+// like the rest of the recording layer, happens only for a descriptor the
+// run bound a sink to: an unobserved descriptor's map never allocates.
+// The map is single-writer (its owning descriptor); aggregation happens
+// after the run via merge(), the same single-writer-then-merge discipline
+// as TxStats.
 //
 // Accounting contract (DESIGN.md §4.15): a site is recorded only for
 // aborts that carry a conflicting location, so for every cause

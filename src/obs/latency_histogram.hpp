@@ -1,6 +1,6 @@
 // Power-of-two-bucket latency histogram.
 //
-// Designed for the transaction hot path of a *traced* build: record() is a
+// Designed for the transaction hot path of an observed run: record() is a
 // bit_width, one array increment and four scalar updates — no floating
 // point, no allocation, no locks (each histogram is written by exactly one
 // thread; aggregation happens after the run via operator+=, the same
@@ -112,24 +112,27 @@ struct LatencyHistogram {
 
 /// Scope timer for a histogram: records on destruction, including during
 /// exception unwinding — which is exactly what a validation pass that ends
-/// in abort_tx() needs. Compiles to nothing when the SEMSTM_TRACE gate is
-/// off (the histogram itself stays usable directly, e.g. by tests).
+/// in abort_tx() needs. A null histogram (an unobserved descriptor, see
+/// TxCoreBase::latency_sink) records nothing: one predictable branch at
+/// each end of the scope, with the clock reads kept out of line.
 class ScopedLatency {
  public:
-  explicit ScopedLatency(LatencyHistogram& h) noexcept {
-    if constexpr (kTraceEnabled) {
-      hist_ = &h;
-      t0_ = now_ticks();
-    }
+  explicit ScopedLatency(LatencyHistogram* h) noexcept : hist_(h) {
+    if (hist_ != nullptr) [[unlikely]] start();
   }
   ~ScopedLatency() {
-    if constexpr (kTraceEnabled) hist_->record(now_ticks() - t0_);
+    if (hist_ != nullptr) [[unlikely]] stop();
   }
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
 
  private:
-  LatencyHistogram* hist_ = nullptr;
+  [[gnu::cold, gnu::noinline]] void start() noexcept { t0_ = now_ticks(); }
+  [[gnu::cold, gnu::noinline]] void stop() noexcept {
+    hist_->record(now_ticks() - t0_);
+  }
+
+  LatencyHistogram* const hist_;
   std::uint64_t t0_ = 0;
 };
 

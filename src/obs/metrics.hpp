@@ -13,12 +13,12 @@
 // attempt end; crossing a window boundary closes the previous window by
 // subtracting the last snapshot from the current totals (TxStats::operator-=,
 // see stats.hpp for the delta contract on max/min fields). Costs one
-// division and a compare per attempt in SEMSTM_TRACE builds and compiles
-// away entirely otherwise. An attempt's whole delta lands in the window
-// containing its *end*; windows therefore partition the run exactly:
-// summing every window delta (operator+=) reproduces the thread's final
-// TxStats field-for-field — the invariant tests/test_metrics.cpp proves
-// and DESIGN.md §4.15 documents.
+// division and a compare per attempt of a descriptor with a bound series;
+// descriptors without one never sample. An attempt's whole delta lands in
+// the window containing its *end*; windows therefore partition the run
+// exactly: summing every window delta (operator+=) reproduces the thread's
+// final TxStats field-for-field — the invariant tests/test_metrics.cpp
+// proves and DESIGN.md §4.15 documents.
 //
 // Window indices are absolute (now / width), so per-thread series merge by
 // index without any cross-thread clock agreement beyond the shared obs
@@ -112,7 +112,7 @@ struct WindowRow {
 class MetricsCollector {
  public:
   /// Default width: 2^14 clock units — a few dozen windows for the stock
-  /// fig1 sweeps; benches override via --metrics-window.
+  /// fig1 sweeps, which all use it.
   explicit MetricsCollector(std::uint64_t window_ticks = std::uint64_t{1}
                                                         << 14)
       : width_(window_ticks == 0 ? 1 : window_ticks) {}
@@ -154,7 +154,7 @@ class MetricsCollector {
 ///   {"type":"hot_site", "run":..., "rank":..., "addr":"0x...", "orec":...,
 ///    "total":..., "edges":..., "top_cause":..., "causes":{...}}
 ///
-/// examples/tm_top.cpp renders this format; scripts/ci_metrics_smoke.sh
+/// examples/tm_top.cpp renders this format; scripts/ci_obs_smoke.sh
 /// validates it.
 class MetricsWriter {
  public:

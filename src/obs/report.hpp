@@ -34,7 +34,7 @@ std::string render_hot_sites(const std::vector<ConflictMap::Site>& sites,
 /// value in `values`). Empty input yields an empty string.
 std::string sparkline(const std::vector<double>& values);
 
-/// Exit-status contract shared with scripts/ci_metrics_smoke.sh.
+/// Exit-status contract shared with scripts/ci_obs_smoke.sh.
 enum : int {
   kReportOk = 0,        ///< parsed and rendered at least one run
   kReportInvalid = 1,   ///< file readable but schema-invalid / no run line

@@ -18,9 +18,9 @@
 // control, the litmus suite's polite spinner, a harness that counts the
 // accesses of aborted attempts.
 //
-// Observability (src/obs): in SEMSTM_TRACE builds atomically() times each
-// on_abort() wait into TxStats::lat_backoff and records an escalation as a
-// kFallback trace event; every build counts escalations in
+// Observability (src/obs): for an observed descriptor atomically() times
+// each on_abort() wait into TxStats::lat_backoff and records an escalation
+// as a kFallback trace event; every run counts escalations in
 // TxStats::fallbacks.
 #pragma once
 

@@ -36,8 +36,8 @@
 // Observability (src/obs): a conflict abort taken while another transaction
 // holds (or is draining into) the token is reclassified by
 // TxCoreBase::abort_tx() as kSerialGatePreempt — the root cause is the
-// quiescing serial transaction, not ordinary contention — and in
-// SEMSTM_TRACE builds atomically() times each acquire -> release span into
+// quiescing serial transaction, not ordinary contention — and for an
+// observed descriptor atomically() times each acquire -> release span into
 // TxStats::lat_gate and emits a kSerialHold trace event.
 #pragma once
 

@@ -1,9 +1,12 @@
 // Minimal command-line option parsing for the benchmark binaries.
 //
 // Supports "--key=value", "--key value" and bare "--flag" forms. Unknown
-// arguments are reported so that typos in sweep scripts fail loudly — and
-// so are malformed numbers: "--ops=10k" or "--threads=2;4" exit(2) with
-// the offending token instead of silently parsing a prefix.
+// arguments are reported so that typos in sweep scripts fail loudly: a
+// token that is not an option exits(2) at parse time, and every --key the
+// binary never read exits(2) at reject_unread(), which each main calls
+// once it has read its options and before any run starts. So do malformed
+// numbers: "--ops=10k" or "--threads=2;4" exit(2) with the offending token
+// instead of silently parsing a prefix.
 #pragma once
 
 #include <cerrno>
@@ -11,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,21 +83,21 @@ class Cli {
     }
   }
 
-  bool has(const std::string& key) const { return kv_.count(key) != 0; }
+  bool has(const std::string& key) const { return find(key) != kv_.end(); }
 
   std::string get(const std::string& key, const std::string& dflt) const {
-    auto it = kv_.find(key);
+    auto it = find(key);
     return it == kv_.end() ? dflt : it->second;
   }
 
   std::int64_t get_int(const std::string& key, std::int64_t dflt) const {
-    auto it = kv_.find(key);
+    auto it = find(key);
     if (it == kv_.end()) return dflt;
     return detail::parse_i64(("--" + key).c_str(), it->second);
   }
 
   double get_double(const std::string& key, double dflt) const {
-    auto it = kv_.find(key);
+    auto it = find(key);
     if (it == kv_.end()) return dflt;
     return detail::parse_f64(("--" + key).c_str(), it->second);
   }
@@ -102,7 +106,7 @@ class Cli {
   /// must be a complete unsigned number: "2;4" or "4x" fail loudly.
   std::vector<unsigned> get_list(const std::string& key,
                                  std::vector<unsigned> dflt) const {
-    auto it = kv_.find(key);
+    auto it = find(key);
     if (it == kv_.end()) return dflt;
     std::vector<unsigned> out;
     const std::string& s = it->second;
@@ -120,8 +124,30 @@ class Cli {
     return out;
   }
 
+  /// Exit(2), naming each one, if any --key given on the command line was
+  /// never read through has() or get*(): a leftover or misspelt option
+  /// would otherwise silently run the default.
+  void reject_unread() const {
+    bool unread = false;
+    for (const auto& [key, value] : kv_) {
+      if (read_.count(key) == 0) {
+        std::fprintf(stderr, "unrecognized option: --%s\n", key.c_str());
+        unread = true;
+      }
+    }
+    if (unread) std::exit(2);
+  }
+
  private:
+  /// Every lookup marks its key as read, present or not.
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return kv_.find(key);
+  }
+
   std::map<std::string, std::string> kv_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace semstm

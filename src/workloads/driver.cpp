@@ -77,8 +77,8 @@ RunResult run_workload(const RunConfig& cfg, Workload& workload) {
   for (const auto& ctx : ctxs) r.stats += ctx->tx->stats;
   r.abort_pct = r.stats.abort_pct();
 
-  // Contention cartography (empty in gate-off builds: the per-descriptor
-  // maps never record and the series never open). Flushing after the run —
+  // Contention cartography (empty in unobserved runs: the per-descriptor
+  // maps never record). Flushing after the run —
   // rather than sampling with a clock — keeps sim-mode final windows
   // correct: outside sim.run() the virtual clock is gone.
   if (cfg.metrics != nullptr) {
@@ -90,7 +90,7 @@ RunResult run_workload(const RunConfig& cfg, Workload& workload) {
   obs::ConflictMap merged(12);  // 4096 run-level sites
   for (const auto& ctx : ctxs) merged.merge(ctx->tx->base.conflict_map());
   r.conflict_overflow = merged.overflow();
-  r.hot_sites = obs::top_sites(merged, cfg.top_k_sites);
+  r.hot_sites = obs::top_sites(merged, kHotSites);
   if (cfg.mode == ExecMode::kSim) {
     r.throughput = r.makespan == 0
                        ? 0.0

@@ -74,17 +74,18 @@ struct RunConfig {
   /// Optional trace sink (src/obs). When non-null the driver sizes one
   /// SPSC ring per thread and binds it to that thread's descriptor, so the
   /// retry loop streams begin/commit/abort/fallback/semantic-op events into
-  /// it. Only populated in SEMSTM_TRACE builds; harmless to set otherwise
-  /// (the rings simply stay empty). The collector must outlive the run.
+  /// it. The collector must outlive the run.
+  ///
+  /// Either sink makes the run *observed*: its descriptors also fill the
+  /// latency histograms and conflict maps. Without a sink a run records
+  /// only the TxStats counters, and binding one never changes a simulated
+  /// run's schedule.
   obs::TraceCollector* trace = nullptr;
   /// Optional windowed-metrics sink (obs/metrics.hpp). When non-null the
   /// driver binds one WindowSeries per thread, the retry loop samples at
   /// every attempt end, and the driver flushes + merges at run end into
-  /// RunResult::windows. Same gate discipline as `trace`: only populated
-  /// in SEMSTM_TRACE builds, harmless otherwise. Must outlive the run.
+  /// RunResult::windows. Must outlive the run.
   obs::MetricsCollector* metrics = nullptr;
-  /// Hot-site ranking depth for RunResult::hot_sites.
-  std::size_t top_k_sites = 10;
 };
 
 struct RunResult {
@@ -98,8 +99,8 @@ struct RunResult {
   /// Time base of makespan, trace timestamps and metrics windows:
   /// "ticks" (sim mode, virtual scheduler) or "ns" (real threads).
   const char* units = "ticks";
-  /// Contention cartography (SEMSTM_TRACE builds; empty otherwise).
-  /// hot_sites is the run-level top-K merge of every descriptor's
+  /// Contention cartography (observed runs only; empty otherwise).
+  /// hot_sites is the run-level top-kHotSites merge of every descriptor's
   /// ConflictMap; conflict_overflow counts sites dropped by full tables
   /// (ranking is a lower bound when non-zero). windows is filled only
   /// when cfg.metrics was set.
@@ -107,6 +108,9 @@ struct RunResult {
   std::uint64_t conflict_overflow = 0;
   std::vector<obs::WindowRow> windows;
 };
+
+/// Ranking depth of RunResult::hot_sites.
+inline constexpr std::size_t kHotSites = 10;
 
 /// Execute `workload` under `cfg`. setup() is called before threads start.
 RunResult run_workload(const RunConfig& cfg, Workload& workload);

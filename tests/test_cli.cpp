@@ -1,6 +1,7 @@
 // Strict CLI parsing. Malformed numbers used to be silently truncated by
 // atoll ("--ops=10k" ran 10 ops); now every numeric token must parse
-// completely or the process exits(2) naming the token.
+// completely or the process exits(2) naming the token. Likewise every
+// --key a binary never reads exits(2) at reject_unread(), naming the key.
 // Rejection paths are death tests: the parser is specified to terminate.
 #include <gtest/gtest.h>
 
@@ -87,6 +88,17 @@ TEST(CliDeath, RejectsNegativeListElement) {
 TEST(CliDeath, RejectsUnrecognizedArgument) {
   EXPECT_EXIT(make_cli({"ops=10"}), ::testing::ExitedWithCode(2),
               "unrecognized argument");
+}
+
+TEST(CliDeath, RejectsKeysTheBinaryNeverRead) {
+  // A leftover option must not silently run the default.
+  Cli cli = make_cli({"--ops=10", "--real", "--cm=yield", "--trace", "t"});
+  EXPECT_EQ(cli.get_int("ops", 0), 10);
+  EXPECT_TRUE(cli.has("trace"));
+  EXPECT_EXIT(cli.reject_unread(), ::testing::ExitedWithCode(2),
+              "unrecognized option: --cm\nunrecognized option: --real");
+  (void)cli.get("real", ""), (void)cli.get("cm", "");
+  cli.reject_unread();  // every key read: returns
 }
 
 }  // namespace

@@ -127,7 +127,6 @@ TEST(ExceptionAccounting, IdentityHoldsUnderContendedSimRun) {
   const RunResult r = run_workload(cfg, w);
   EXPECT_GT(r.stats.aborts, 0u);
   EXPECT_EQ(r.stats.starts, r.stats.commits + r.stats.aborts);
-  EXPECT_EQ(r.stats.retries, r.stats.aborts);
   EXPECT_GT(r.stats.max_consec_aborts, 0u);
 }
 

@@ -11,9 +11,11 @@
 //  - Abort attribution: TL2-family aborts carry the conflicting orec index
 //    and owner hint end-to-end through abort_tx (build-independent —
 //    AbortInfo is always populated).
-//  - Gated end-to-end (SEMSTM_TRACE): a hot-skewed bank run's #1 hot site
+//  - End-to-end through the driver: a hot-skewed bank run's #1 hot site
 //    is a known hot account; per-site counts never exceed per-cause
-//    totals; merged windows reproduce run totals field-for-field.
+//    totals; merged windows reproduce run totals field-for-field; and
+//    binding sinks to a simulated run changes none of its counters while
+//    an unbound run records nothing beyond them.
 //  - Reporting: MetricsWriter JSON-lines round-trip through
 //    render_metrics_report, exit-status contract, sparkline scaling.
 #include <gtest/gtest.h>
@@ -51,22 +53,28 @@ bool hist_eq(const LatencyHistogram& a, const LatencyHistogram& b) {
          a.max == b.max;
 }
 
-bool stats_eq(const TxStats& a, const TxStats& b) {
+/// Every TxStats field except the latency histograms.
+bool counters_eq(const TxStats& a, const TxStats& b) {
   if (a.starts != b.starts || a.commits != b.commits ||
       a.aborts != b.aborts || a.exceptions != b.exceptions ||
-      a.retries != b.retries || a.fallbacks != b.fallbacks ||
+      a.fallbacks != b.fallbacks ||
       a.max_consec_aborts != b.max_consec_aborts || a.reads != b.reads ||
       a.writes != b.writes || a.compares != b.compares ||
       a.compares2 != b.compares2 || a.increments != b.increments ||
       a.promotions != b.promotions || a.validations != b.validations ||
       a.readset_adds != b.readset_adds || a.readset_dups != b.readset_dups ||
-      a.validate_entries != b.validate_entries) {
+      a.validate_entries != b.validate_entries ||
+      a.clock_adoptions != b.clock_adoptions) {
     return false;
   }
   for (std::size_t c = 0; c < obs::kAbortCauseCount; ++c) {
     if (a.abort_causes[c] != b.abort_causes[c]) return false;
   }
-  return hist_eq(a.lat_commit, b.lat_commit) &&
+  return true;
+}
+
+bool stats_eq(const TxStats& a, const TxStats& b) {
+  return counters_eq(a, b) && hist_eq(a.lat_commit, b.lat_commit) &&
          hist_eq(a.lat_validate, b.lat_validate) &&
          hist_eq(a.lat_backoff, b.lat_backoff) &&
          hist_eq(a.lat_gate, b.lat_gate);
@@ -80,7 +88,6 @@ TxStats random_stats(Rng& rng) {
   s.aborts = rng.below(100);
   s.exceptions = rng.below(5);
   s.starts = s.commits + s.aborts + s.exceptions;
-  s.retries = s.aborts;
   s.fallbacks = rng.below(3);
   s.max_consec_aborts = rng.below(20);
   s.reads = rng.below(1000);
@@ -179,7 +186,6 @@ void advance_stats(TxStats& s, Rng& rng) {
     if (s.max_consec_aborts < 3 && rng.percent(10)) ++s.max_consec_aborts;
   } else {
     ++s.aborts;
-    ++s.retries;
     s.note_abort_cause(static_cast<AbortCause>(1 + rng.below(3)));
     s.lat_validate.record(rng.below(1u << 10));
     if (rng.percent(20) && s.max_consec_aborts < 40) ++s.max_consec_aborts;
@@ -405,37 +411,41 @@ TEST(AbortAttribution, Tl2ReadValidationCarriesOrecWithoutOwner) {
 }
 
 // ---------------------------------------------------------------------------
-// Gated end-to-end: hot-site attribution and windowed metrics through the
-// driver, against a bank run with known hot accounts.
+// End-to-end: hot-site attribution and windowed metrics through the driver,
+// against a bank run with known hot accounts. Hot sites are recorded only
+// for observed runs, so every caller that expects them binds a collector.
 // ---------------------------------------------------------------------------
 
-RunResult hot_bank_run(const char* algo, obs::MetricsCollector* metrics,
-                       BankWorkload** out_w,
-                       std::unique_ptr<BankWorkload>& holder) {
+struct HotBankRun {
+  std::unique_ptr<BankWorkload> w;
+  RunResult r;
+};
+
+HotBankRun hot_bank_run(const char* algo, obs::MetricsCollector* metrics,
+                        obs::TraceCollector* trace = nullptr,
+                        bool semantic = false) {
   BankWorkload::Params p;
   p.accounts = 1024;
   p.hot_accounts = 2;
   p.hot_pct = 90;  // Zipfian-style: 90% of picks hit 2 of 1024 accounts
-  holder = std::make_unique<BankWorkload>(p, /*semantic=*/false);
-  *out_w = holder.get();
+  HotBankRun run{std::make_unique<BankWorkload>(p, semantic), {}};
   RunConfig cfg;
   cfg.algo = algo;
   cfg.threads = 8;
   cfg.ops_per_thread = 400;
   cfg.sim_quantum = 16;  // interleave mid-transaction to force conflicts
+  cfg.trace = trace;
   cfg.metrics = metrics;
-  const RunResult r = run_workload(cfg, **out_w);
-  holder->verify();
-  return r;
+  run.r = run_workload(cfg, *run.w);
+  run.w->verify();
+  return run;
 }
 
 TEST(CartographyEndToEnd, HotSkewedBankTopSiteIsAHotAccount) {
-  if (!obs::kTraceEnabled) {
-    GTEST_SKIP() << "build with -DSEMSTM_TRACE=ON for conflict attribution";
-  }
-  BankWorkload* w = nullptr;
-  std::unique_ptr<BankWorkload> holder;
-  const RunResult r = hot_bank_run("norec", nullptr, &w, holder);
+  obs::MetricsCollector metrics;
+  const HotBankRun run = hot_bank_run("norec", &metrics);
+  const RunResult& r = run.r;
+  const BankWorkload* w = run.w.get();
 
   ASSERT_GT(r.stats.aborts, 0u) << "rig failed to generate contention";
   ASSERT_FALSE(r.hot_sites.empty());
@@ -462,12 +472,8 @@ TEST(CartographyEndToEnd, HotSkewedBankTopSiteIsAHotAccount) {
 }
 
 TEST(CartographyEndToEnd, Tl2SitesAreOrecKeyedWithEdges) {
-  if (!obs::kTraceEnabled) {
-    GTEST_SKIP() << "build with -DSEMSTM_TRACE=ON for conflict attribution";
-  }
-  BankWorkload* w = nullptr;
-  std::unique_ptr<BankWorkload> holder;
-  const RunResult r = hot_bank_run("tl2", nullptr, &w, holder);
+  obs::MetricsCollector metrics;
+  const RunResult r = hot_bank_run("tl2", &metrics).r;
 
   ASSERT_GT(r.stats.aborts, 0u);
   ASSERT_FALSE(r.hot_sites.empty());
@@ -481,13 +487,8 @@ TEST(CartographyEndToEnd, Tl2SitesAreOrecKeyedWithEdges) {
 }
 
 TEST(CartographyEndToEnd, WindowsPartitionTheRunExactly) {
-  if (!obs::kTraceEnabled) {
-    GTEST_SKIP() << "build with -DSEMSTM_TRACE=ON for windowed metrics";
-  }
   obs::MetricsCollector metrics(1u << 12);
-  BankWorkload* w = nullptr;
-  std::unique_ptr<BankWorkload> holder;
-  const RunResult r = hot_bank_run("snorec", &metrics, &w, holder);
+  const RunResult r = hot_bank_run("snorec", &metrics).r;
 
   ASSERT_FALSE(r.windows.empty());
   TxStats resummed;
@@ -506,17 +507,36 @@ TEST(CartographyEndToEnd, WindowsPartitionTheRunExactly) {
       << "merged windows must reproduce the run totals field-for-field";
 }
 
-TEST(CartographyEndToEnd, GateOffRunsStayEmpty) {
-  if (obs::kTraceEnabled) {
-    GTEST_SKIP() << "verifies the SEMSTM_TRACE=OFF build only";
+bool hists_empty(const TxStats& s) {
+  return s.lat_commit.empty() && s.lat_validate.empty() &&
+         s.lat_backoff.empty() && s.lat_gate.empty();
+}
+
+TEST(CartographyEndToEnd, ObservingARunLeavesTheSimulationUnchanged) {
+  // NOrec-family sim output does not depend on heap addresses, so the two
+  // runs must match bit for bit; TL2-family orec hashing would not.
+  for (const bool semantic : {false, true}) {
+    const char* algo = semantic ? "snorec" : "norec";
+    SCOPED_TRACE(algo);
+    const RunResult plain = hot_bank_run(algo, nullptr, nullptr, semantic).r;
+    obs::TraceCollector trace;
+    obs::MetricsCollector metrics;
+    const RunResult seen = hot_bank_run(algo, &metrics, &trace, semantic).r;
+
+    ASSERT_GT(plain.stats.aborts, 0u) << "rig failed to generate contention";
+    EXPECT_EQ(seen.makespan, plain.makespan);
+    EXPECT_TRUE(counters_eq(seen.stats, plain.stats))
+        << "binding sinks changed the simulated run";
+
+    EXPECT_TRUE(hists_empty(plain.stats)) << "no sink: no latencies";
+    EXPECT_TRUE(plain.windows.empty()) << "no sink: no metrics windows";
+    EXPECT_TRUE(plain.hot_sites.empty()) << "no sink: no conflict sites";
+    EXPECT_EQ(plain.conflict_overflow, 0u);
+
+    EXPECT_EQ(seen.stats.lat_commit.count, seen.stats.commits);
+    EXPECT_FALSE(seen.windows.empty());
+    EXPECT_FALSE(seen.hot_sites.empty());
   }
-  obs::MetricsCollector metrics(1u << 12);
-  BankWorkload* w = nullptr;
-  std::unique_ptr<BankWorkload> holder;
-  const RunResult r = hot_bank_run("norec", &metrics, &w, holder);
-  EXPECT_TRUE(r.hot_sites.empty()) << "gate off: no conflict recording";
-  EXPECT_TRUE(r.windows.empty()) << "gate off: no metrics sampling";
-  EXPECT_EQ(r.conflict_overflow, 0u);
 }
 
 // ---------------------------------------------------------------------------
