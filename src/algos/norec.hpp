@@ -19,6 +19,7 @@
 #include "obs/abort_cause.hpp"
 #include "obs/latency_histogram.hpp"
 #include "runtime/global_clock.hpp"
+#include "runtime/prefetch.hpp"
 #include "runtime/readset.hpp"
 #include "runtime/writeset.hpp"
 #include "sched/yieldpoint.hpp"
@@ -79,6 +80,9 @@ class NorecCoreT : public TxCoreBase {
     // through odd into 0 on unlock, so the epoch ends here (never reached
     // in practice — tagged for the cause histogram's completeness).
     if (snapshot_ + 2 == 0) abort_tx(obs::AbortCause::kClockOverflow);
+    // Own every line the write-back stores to before the window opens, so
+    // the stores under the seqlock hit this core's cache (DESIGN.md §4.16).
+    for (const WriteEntry& e : writes_) prefetch_for_write(e.addr);
     while (!shared_.lock().try_lock(snapshot_)) snapshot_ = validate();
     sched::sched_point();  // seqlock held (odd), write-back not started
     // Exclusive: write back (increments resolve against current memory).

@@ -21,6 +21,7 @@
 #include "obs/latency_histogram.hpp"
 #include "runtime/global_clock.hpp"
 #include "runtime/orec.hpp"
+#include "runtime/prefetch.hpp"
 #include "runtime/writeset.hpp"
 #include "sched/yieldpoint.hpp"
 
@@ -204,6 +205,12 @@ class Tl2CoreT : public TxCoreBase {
   }
 
   void acquire_write_locks() {
+    // Own the data words and orecs before the first lock is taken, so the
+    // lock CASes and the write-back hit this core's cache (DESIGN.md §4.16).
+    for (const WriteEntry& e : writes_) {
+      prefetch_for_write(e.addr);
+      prefetch_for_write(&shared_.orecs().of(e.addr));
+    }
     for (const WriteEntry& e : writes_) {
       Orec& o = shared_.orecs().of(e.addr);
       if (o.owner.load(std::memory_order_relaxed) == this) continue;

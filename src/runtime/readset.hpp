@@ -16,8 +16,8 @@
 // paper's headline claim is about. Two choices keep it small and the
 // validation loop O(unique reads):
 //  - Rows are 32 bytes: one flat term plus clause header, instead of a
-//    fixed kMaxTerms-term array. Multi-term clauses (rare) span the head
-//    row plus nterms-1 continuation rows; iteration is clause-granular.
+//    fixed-width term array. Multi-term clauses (rare) span the head row
+//    plus nterms-1 continuation rows; iteration is clause-granular.
 //  - append_value deduplicates identical value snapshots against a small
 //    trailing window, so a transaction that re-reads the same address
 //    repeatedly validates it once, not once per read. Skipping is
@@ -29,6 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "core/semantics.hpp"
@@ -60,7 +62,8 @@ static_assert(sizeof(ReadEntry) == 32,
 
 class ReadSet {
  public:
-  static constexpr unsigned kMaxTerms = 3;
+  /// Longest clause a head row can describe (its nterms is a uint8_t).
+  static constexpr std::size_t kMaxClauseTerms = 255;
 
   /// How many trailing rows append_value scans for an identical value
   /// snapshot before appending. Repeated reads of the same address are
@@ -159,16 +162,17 @@ class ReadSet {
     ++clauses_;
   }
 
-  /// Record a disjunctive clause (OR of up to kMaxTerms terms) with its
-  /// observed outcome. A zero-term clause is vacuous (its OR is constantly
-  /// false) and records nothing.
+  /// Record a disjunctive clause (OR of all n terms) with its observed
+  /// outcome. Every term is recorded: validation re-evaluates exactly the
+  /// OR that was observed. A zero-term clause is vacuous (its OR is
+  /// constantly false) and records nothing.
   void append_clause(const CmpTerm* terms, std::size_t n, bool outcome) {
-    const std::size_t m = n < kMaxTerms ? n : kMaxTerms;
-    if (m == 0) return;
+    if (n == 0) return;
+    if (n > kMaxClauseTerms) die_clause_too_long(n);
     entries_.push_back(ReadEntry{terms[0].addr, terms[0].rhs_addr,
                                  terms[0].operand, terms[0].rel,
-                                 static_cast<std::uint8_t>(m), outcome});
-    for (std::size_t i = 1; i < m; ++i) {
+                                 static_cast<std::uint8_t>(n), outcome});
+    for (std::size_t i = 1; i < n; ++i) {
       entries_.push_back(ReadEntry{terms[i].addr, terms[i].rhs_addr,
                                    terms[i].operand, terms[i].rel, 0,
                                    outcome});
@@ -195,6 +199,18 @@ class ReadSet {
   }
 
  private:
+  /// Diagnose-and-die: a longer clause cannot be recorded whole, and
+  /// recording part of it would validate a different OR than the one the
+  /// transaction acted on. Fails in every build, like die_no_ctx.
+  [[noreturn, gnu::cold, gnu::noinline]] static void die_clause_too_long(
+      std::size_t n) noexcept {
+    std::fprintf(stderr,
+                 "semstm: cmp_or over %zu terms; one read-set clause "
+                 "holds at most %zu\n",
+                 n, kMaxClauseTerms);
+    std::abort();
+  }
+
   std::vector<ReadEntry> entries_;
   std::size_t clauses_ = 0;
 };

@@ -351,6 +351,38 @@ TEST_P(History, WholeClauseAbortsWhenOutcomeFlips) {
   });
 }
 
+// A clause longer than three terms: its last disjunct is validated like
+// the first. The commit that makes only `d > 0` true flips the OR, so T1,
+// which acted on the OR being false, must abort.
+TEST_P(History, FourTermClauseRevalidatesItsLastTerm) {
+  if (!concurrent_capable(GetParam())) GTEST_SKIP();
+  run([&](auto& t1, auto& t2) {
+    TVar<long> a(0), b(0), c(0), d(0), out(0);
+
+    t1.begin();
+    const CmpTerm clause[4] = {
+        term<long>(a, Rel::SGT, 0),
+        term<long>(b, Rel::SGT, 0),
+        term<long>(c, Rel::SGT, 0),
+        term<long>(d, Rel::SGT, 0),
+    };
+    EXPECT_FALSE(t1.cmp_or(clause, 4));
+
+    t2.begin();
+    t2.write(d.word(), to_word<long>(7));
+    t2.commit();
+
+    EXPECT_THROW(
+        {
+          t1.write(out.word(), 1);
+          t1.commit();
+        },
+        TxAbort);
+    t1.rollback();
+    EXPECT_EQ(out.unsafe_get(), 0);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, History,
                          ::testing::Values("cgl", "norec", "snorec", "tl2",
                                            "stl2"),

@@ -183,6 +183,33 @@ TEST(ReadSet, ClauseIterationSkipsContinuationRows) {
   EXPECT_EQ(clauses, 2u);
 }
 
+TEST(ReadSet, LongClauseRecordsEveryTerm) {
+  // Validation must see every disjunct, not a prefix of the clause.
+  ReadSet rs;
+  std::vector<tword> w(5);
+  std::vector<CmpTerm> terms;
+  for (tword& x : w) terms.push_back(CmpTerm{&x, nullptr, 9, Rel::EQ});
+  rs.append_clause(terms.data(), terms.size(), /*outcome=*/false);
+  EXPECT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs.rows(), 5u);
+  EXPECT_TRUE(rs.begin()->holds());
+  w.back().store(9);  // only the last disjunct flips
+  EXPECT_FALSE(rs.begin()->holds());
+}
+
+TEST(ReadSetDeathTest, ClauseLongerThanOneHeadRowCanCountDies) {
+  // A head row counts at most 255 terms; recording a prefix of a longer
+  // OR would validate a different clause, so it fails in every build.
+  std::vector<tword> w(ReadSet::kMaxClauseTerms + 1);
+  std::vector<CmpTerm> terms;
+  for (tword& x : w) terms.push_back(CmpTerm{&x, nullptr, 0, Rel::EQ});
+  ReadSet rs;
+  rs.append_clause(terms.data(), ReadSet::kMaxClauseTerms, true);
+  EXPECT_EQ(rs.rows(), ReadSet::kMaxClauseTerms);
+  EXPECT_DEATH(rs.append_clause(terms.data(), terms.size(), true),
+               "cmp_or over 256 terms");
+}
+
 TEST(ReadSet, ZeroTermClauseRecordsNothing) {
   // An empty OR is constantly false — vacuous, nothing to revalidate.
   ReadSet rs;

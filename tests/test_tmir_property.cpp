@@ -12,16 +12,19 @@
 // 2. Deterministic-scheduler oracle: every built-in kernel, pre- vs
 //    post-pass, run under the virtual scheduler across all five
 //    algorithms, must produce bit-identical per-op results, final memory
-//    and per-fiber commit counts (each fiber owns disjoint tables, so the
-//    two pipelines face identical conflict structure: none).
+//    and per-fiber commit counts (each fiber owns disjoint tables, placed
+//    so that no two fibers' words share an orec, so the two pipelines
+//    face identical conflict structure: none).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "containers/tarray.hpp"
+#include "runtime/orec.hpp"
 #include "sched/virtual_scheduler.hpp"
 #include "semstm.hpp"
 #include "tmir/analysis/lint.hpp"
@@ -362,11 +365,58 @@ struct FiberTables {
   }
 };
 
+/// Orec slots of every word in `tb`. A slot index is a function of the
+/// word's address alone (OrecTable::index), so a table of the algorithms'
+/// default size maps the words exactly as a TL2-family run will.
+std::vector<std::size_t> orec_slots(const FiberTables& tb, OrecTable& orecs) {
+  std::vector<std::size_t> slots;
+  for (const auto* arr : {&tb.states, &tb.keys, &tb.numfree, &tb.price,
+                          &tb.record}) {
+    for (std::size_t i = 0; i < arr->size(); ++i) {
+      slots.push_back(orecs.index(&orecs.of((*arr)[i].word())));
+    }
+  }
+  return slots;
+}
+
+/// One FiberTables per fiber, no two fibers' words sharing an orec.
+/// Disjoint tables can still hash to one orec; that false conflict aborts
+/// in one interleaving and not in another, so the raw and optimized runs
+/// would no longer face the same (absent) conflict structure. A fiber
+/// whose slots meet an earlier fiber's is re-allocated; the rejected
+/// tables stay alive until placement ends, so the allocator cannot hand
+/// the same addresses back.
+std::vector<FiberTables> place_fiber_tables() {
+  constexpr std::size_t kMaxTries = 64;
+  OrecTable orecs(AlgoOptions{}.orec_log2);
+  std::vector<bool> taken(orecs.size());
+  std::vector<FiberTables> placed;
+  std::vector<FiberTables> rejected;
+  while (placed.size() < kFibers) {
+    FiberTables tb;
+    const std::vector<std::size_t> slots = orec_slots(tb, orecs);
+    if (std::any_of(slots.begin(), slots.end(),
+                    [&](std::size_t s) { return taken[s]; })) {
+      if (rejected.size() == kMaxTries) {
+        ADD_FAILURE() << "no orec-disjoint placement for fiber "
+                      << placed.size() << " in " << kMaxTries << " tries";
+        return {};
+      }
+      rejected.push_back(std::move(tb));
+      continue;
+    }
+    for (std::size_t s : slots) taken[s] = true;
+    placed.push_back(std::move(tb));
+  }
+  return placed;
+}
+
 /// Run a scripted kernel workload on the virtual scheduler, with a fresh
 /// algorithm instance over `tables` (one per fiber, reset first). Each
-/// fiber owns disjoint tables, so raw and optimized pipelines see the same
-/// (absent) conflict structure even though the optimized one issues fewer
-/// barriers and therefore interleaves differently.
+/// fiber owns disjoint tables on disjoint orecs (place_fiber_tables), so
+/// raw and optimized pipelines see the same (absent) conflict structure
+/// even though the optimized one issues fewer barriers and therefore
+/// interleaves differently.
 PipelineRun run_kernels(const std::string& algo_name, bool optimized,
                         std::vector<FiberTables>& tables) {
   Function probe = build_probe_kernel();
@@ -459,7 +509,8 @@ PipelineRun run_kernels(const std::string& algo_name, bool optimized,
 class SchedulerOracle : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedulerOracle, OptimizedKernelsAreBitIdenticalUnderTheScheduler) {
-  std::vector<FiberTables> tables(kFibers);
+  std::vector<FiberTables> tables = place_fiber_tables();
+  ASSERT_EQ(tables.size(), kFibers);
   const PipelineRun raw = run_kernels(GetParam(), /*optimized=*/false, tables);
   const PipelineRun opt = run_kernels(GetParam(), /*optimized=*/true, tables);
   ASSERT_EQ(raw.results.size(), opt.results.size());
