@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   // --ops N overrides every study's own default op count.
   const bool ops_set = cli.has("ops");
-  const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 0));
+  const auto ops = cli.get_uint<std::uint64_t>("ops", 0);
   cli.reject_unread();
   const auto ops_or = [&](std::uint64_t dflt) { return ops_set ? ops : dflt; };
 

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   spec.ops_per_thread = 600;
   bench::apply_cli(spec, cli);
   BankWorkload::Params params;
-  params.hot_accounts = static_cast<std::size_t>(cli.get_int("hot-accounts", 0));
-  params.hot_pct = static_cast<unsigned>(cli.get_int("hot-pct", 0));
+  params.hot_accounts = cli.get_uint<std::size_t>("hot-accounts", 0);
+  params.hot_pct = cli.get_uint<unsigned>("hot-pct", 0);
   cli.reject_unread();
   if (params.hot_accounts > params.accounts || params.hot_pct > 100) {
     std::fprintf(stderr,

@@ -69,10 +69,8 @@ using WorkloadFactory = std::function<std::unique_ptr<Workload>(bool semantic)>;
 
 inline void apply_cli(FigureSpec& spec, const Cli& cli) {
   spec.threads = cli.get_list("threads", spec.threads);
-  spec.ops_per_thread = static_cast<std::uint64_t>(
-      cli.get_int("ops", static_cast<std::int64_t>(spec.ops_per_thread)));
-  spec.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(spec.seed)));
+  spec.ops_per_thread = cli.get_uint("ops", spec.ops_per_thread);
+  spec.seed = cli.get_uint("seed", spec.seed);
   const std::string mode = cli.get("mode", "");
   if (mode == "real") {
     spec.mode = ExecMode::kReal;

@@ -40,7 +40,7 @@ Row measure(const std::string& wl, bool semantic, std::uint64_t ops) {
 
 int main(int argc, char** argv) {
   semstm::Cli cli(argc, argv);
-  const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 400));
+  const auto ops = cli.get_uint<std::uint64_t>("ops", 400);
   cli.reject_unread();
 
   std::printf("# Table 3: Average Number of Operations per Transaction\n");

@@ -30,9 +30,9 @@ int main() {
   std::printf("  removed TM loads: %zu, removed other dead defs: %zu\n",
               os.removed_tm_loads, os.removed_other);
   std::printf("  TM loads: %zu (before) -> %zu (after)\n",
-              raw.count_op(Op::kTmLoad), marked.count_op(Op::kTmLoad));
+              raw.count(Op::kTmLoad).live, marked.count(Op::kTmLoad).live);
   std::printf("  semantic builtins now in the IR: %zu\n",
-              marked.count_op(Op::kTmCmp1) + marked.count_op(Op::kTmCmp2));
+              marked.count(Op::kTmCmp1).live + marked.count(Op::kTmCmp2).live);
 
   // Execute both pipelines against identical tables and compare.
   auto algo = make_algorithm("snorec");

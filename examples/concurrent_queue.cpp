@@ -6,6 +6,8 @@
 //
 //   $ ./concurrent_queue --algo norec     # classical constructs
 //   $ ./concurrent_queue --algo snorec    # semantic constructs
+//
+// Exits 1 if produced - consumed differs from what is left in the queue.
 #include <cstdio>
 
 #include "containers/tqueue.hpp"
@@ -17,8 +19,8 @@ int main(int argc, char** argv) {
   using namespace semstm;
   Cli cli(argc, argv);
   const std::string algo_name = cli.get("algo", "snorec");
-  const unsigned threads = static_cast<unsigned>(cli.get_int("threads", 8));
-  const std::uint64_t ops = static_cast<std::uint64_t>(cli.get_int("ops", 2000));
+  const auto threads = cli.get_uint<unsigned>("threads", 8);
+  const auto ops = cli.get_uint<std::uint64_t>("ops", 2000);
   cli.reject_unread();
 
   auto algo = make_algorithm(algo_name);
@@ -52,18 +54,17 @@ int main(int argc, char** argv) {
 
   TxStats total;
   for (const auto& c : ctxs) total += c->tx->stats;
+  const bool conserved =
+      produced - consumed == static_cast<std::uint64_t>(queue.unsafe_size());
   std::printf("algorithm=%s threads=%u\n", algo->name(), threads);
   std::printf("produced=%llu consumed=%llu left=%lld (conserved: %s)\n",
               static_cast<unsigned long long>(produced),
               static_cast<unsigned long long>(consumed),
               static_cast<long long>(queue.unsafe_size()),
-              produced - consumed ==
-                      static_cast<std::uint64_t>(queue.unsafe_size())
-                  ? "yes"
-                  : "NO");
+              conserved ? "yes" : "NO");
   std::printf("commits=%llu aborts=%llu abort%%=%.2f\n",
               static_cast<unsigned long long>(total.commits),
               static_cast<unsigned long long>(total.aborts),
               total.abort_pct());
-  return 0;
+  return conserved ? 0 : 1;
 }

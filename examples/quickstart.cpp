@@ -4,7 +4,7 @@
 //
 // Creates a TM system, runs a few transactions exercising the classical
 // (TM_READ/TM_WRITE) and semantic (TM_GTE/TM_INC/TM_DEC) constructs, and
-// prints what happened.
+// prints what happened. Exits 1 if the transfers did not conserve money.
 #include <cstdio>
 
 #include "obs/report.hpp"
@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
   // 6. A transaction can return a value.
   const long total = atomically(
       [&](auto& tx) { return checking.get(tx) + savings.get(tx); });
-  std::printf("total=%ld (conserved)\n", total);
+  const bool conserved = total == 100 + 25;  // opening balance + deposit
+  std::printf("total=%ld (conserved: %s)\n", total, conserved ? "yes" : "NO");
 
   const TxStats& s = ctx.tx->stats;
   std::printf(
@@ -73,5 +74,5 @@ int main(int argc, char** argv) {
   //    it with tm_top for the real thing.
   const auto hot = obs::top_sites(ctx.tx->base.conflict_map(), 5);
   std::fputs(obs::render_hot_sites(hot).c_str(), stdout);
-  return 0;
+  return conserved ? 0 : 1;
 }

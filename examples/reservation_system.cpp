@@ -7,6 +7,8 @@
 // keep those outcomes true do not abort each other.
 //
 //   $ ./reservation_system --algo stl2 --threads 8
+//
+// Exits 1 if booked + remaining slots differs from the initial capacity.
 #include <cstdio>
 
 #include "containers/trbtree.hpp"
@@ -28,9 +30,8 @@ int main(int argc, char** argv) {
   using namespace semstm;
   Cli cli(argc, argv);
   const std::string algo_name = cli.get("algo", "stl2");
-  const unsigned threads = static_cast<unsigned>(cli.get_int("threads", 8));
-  const std::uint64_t sessions =
-      static_cast<std::uint64_t>(cli.get_int("sessions", 1500));
+  const auto threads = cli.get_uint<unsigned>("threads", 8);
+  const auto sessions = cli.get_uint<std::uint64_t>("sessions", 1500);
   cli.reject_unread();
   constexpr std::size_t kResources = 128;
   constexpr std::int64_t kInitialSlots = 200;
@@ -118,6 +119,10 @@ int main(int argc, char** argv) {
   for (std::size_t id = 0; id < kResources; ++id) {
     remaining += records[id].free_slots.unsafe_get();
   }
+  const std::int64_t capacity =
+      static_cast<std::int64_t>(kResources) * kInitialSlots;
+  const bool conserved =
+      remaining + static_cast<std::int64_t>(booked) == capacity;
   TxStats total;
   for (const auto& c : ctxs) total += c->tx->stats;
 
@@ -126,14 +131,10 @@ int main(int argc, char** argv) {
   std::printf("booked=%llu remaining_slots=%lld (capacity %lld, conserved: %s)\n",
               static_cast<unsigned long long>(booked),
               static_cast<long long>(remaining),
-              static_cast<long long>(kResources * kInitialSlots),
-              remaining + static_cast<std::int64_t>(booked) ==
-                      static_cast<std::int64_t>(kResources) * kInitialSlots
-                  ? "yes"
-                  : "NO");
+              static_cast<long long>(capacity), conserved ? "yes" : "NO");
   std::printf("commits=%llu aborts=%llu abort%%=%.2f promotions=%llu\n",
               static_cast<unsigned long long>(total.commits),
               static_cast<unsigned long long>(total.aborts), total.abort_pct(),
               static_cast<unsigned long long>(total.promotions));
-  return 0;
+  return conserved ? 0 : 1;
 }

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace semstm;
   Cli cli(argc, argv);
   const std::string in = cli.get("in", "");
-  const auto top_k = static_cast<std::size_t>(cli.get_int("top", 10));
+  const auto top_k = cli.get_uint<std::size_t>("top", 10);
   cli.reject_unread();
   if (in.empty()) {
     std::fprintf(stderr,

@@ -1,10 +1,7 @@
 // tmir_lint: run the full static-analysis pipeline over every built-in
-// kernel and report per-pass statistics and diagnostics.
+// kernel and report per-pass statistics and diagnostics:
 //
-// Two pipelines run per kernel and are reported side by side:
-//
-//   baseline:  verify -> tm_mark(alias off) -> tm_lint -> tm_optimize
-//   alias:     verify -> tm_rbe -> tm_mark -> tm_lint -> tm_optimize
+//   verify -> tm_rbe -> tm_mark -> tm_optimize
 //
 // with a verify + lint sweep after every mutating stage. The per-kernel
 // `barriers before/after` lines count statically live TM barriers
@@ -59,11 +56,6 @@ struct KernelReport {
   std::string name;
   std::size_t issues = 0;
   std::size_t barriers_before = 0;
-  // baseline pipeline (PR 5: no alias analysis, no rbe)
-  MarkStats base_mark;
-  OptimizeStats base_opt;
-  std::size_t base_barriers_after = 0;
-  // alias pipeline (rbe + alias-aware mark)
   RbeStats rbe;
   MarkStats mark;
   OptimizeStats opt;
@@ -86,23 +78,8 @@ KernelReport lint_kernel(const NamedKernel& k, bool json) {
   KernelReport r;
   r.name = k.name;
 
-  // Baseline pipeline — the comparison column.
-  {
-    Function f = k.build();
-    r.barriers_before = live_barriers(f);
-    r.issues += print_diags(f, "base/verify(raw)", pass_verify(f), json);
-    r.base_mark = pass_tm_mark(f, {.use_alias = false});
-    r.issues += print_diags(f, "base/verify(marked)", pass_verify(f), json);
-    r.issues += print_diags(f, "base/tm_lint", pass_tm_lint(f), json);
-    r.base_opt = pass_tm_optimize(f);
-    r.issues += print_diags(f, "base/verify(optimized)", pass_verify(f), json);
-    r.issues += print_diags(f, "base/tm_lint(optimized)", pass_tm_lint(f),
-                            json);
-    r.base_barriers_after = live_barriers(f);
-  }
-
-  // Alias pipeline — redundant-barrier elimination, then alias-aware mark.
   Function f = k.build();
+  r.barriers_before = live_barriers(f);
   r.issues += print_diags(f, "verify(raw)", pass_verify(f), json);
   r.rbe = pass_tm_rbe(f);
   r.issues += print_diags(f, "verify(rbe)", pass_verify(f), json);
@@ -133,10 +110,6 @@ KernelReport lint_kernel(const NamedKernel& k, bool json) {
 
 void print_text(const KernelReport& r) {
   std::printf("== %s ==\n", r.name.c_str());
-  std::printf("  baseline:    s1r=%zu s2r=%zu sw=%zu skipped_clobbered=%zu "
-              "removed_tm_loads=%zu\n",
-              r.base_mark.s1r, r.base_mark.s2r, r.base_mark.sw,
-              r.base_mark.skipped_clobbered, r.base_opt.removed_tm_loads);
   std::printf("  tm_rbe:      load_load=%zu store_load=%zu dead_stores=%zu\n",
               r.rbe.load_load_forwarded, r.rbe.store_load_forwarded,
               r.rbe.dead_stores);
@@ -152,8 +125,8 @@ void print_text(const KernelReport& r) {
               r.opt.removed_tm_loads, r.opt.removed_other);
   std::printf("  TM loads:    %zu live / %zu dead\n", r.tm_loads_live,
               r.tm_loads_dead);
-  std::printf("  barriers:    before=%zu baseline=%zu alias=%zu\n",
-              r.barriers_before, r.base_barriers_after, r.barriers_after);
+  std::printf("  barriers:    before=%zu after=%zu\n", r.barriers_before,
+              r.barriers_after);
 }
 
 void print_json(const std::vector<KernelReport>& reports,
@@ -166,12 +139,6 @@ void print_json(const std::vector<KernelReport>& reports,
     std::printf("      \"issues\": %zu,\n", r.issues);
     std::printf("      \"barriers_before\": %zu,\n", r.barriers_before);
     std::printf("      \"barriers_after\": %zu,\n", r.barriers_after);
-    std::printf("      \"baseline\": {\"s1r\": %zu, \"s2r\": %zu, "
-                "\"sw\": %zu, \"skipped_clobbered\": %zu, "
-                "\"removed_tm_loads\": %zu, \"barriers_after\": %zu},\n",
-                r.base_mark.s1r, r.base_mark.s2r, r.base_mark.sw,
-                r.base_mark.skipped_clobbered, r.base_opt.removed_tm_loads,
-                r.base_barriers_after);
     std::printf("      \"alias\": {\"rbe_load_load\": %zu, "
                 "\"rbe_store_load\": %zu, \"rbe_dead_stores\": %zu, "
                 "\"s1r\": %zu, \"s2r\": %zu, \"sw\": %zu, "
@@ -223,7 +190,7 @@ int main(int argc, char** argv) {
   } else if (issues != 0) {
     std::printf("tmir_lint: %zu diagnostics\n", issues);
   } else {
-    std::printf("tmir_lint: all pipelines clean\n");
+    std::printf("tmir_lint: all kernels clean\n");
   }
   return issues != 0 ? 2 : 0;
 }

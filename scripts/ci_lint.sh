@@ -2,10 +2,10 @@
 # Static-analysis gate, two stages:
 #
 #   1. tmir_lint — the repo's own IR pipeline checker (verify + tm_lint
-#      over every built-in kernel, baseline and alias pipelines). Always
-#      runs: it is built from this tree and needs no external tooling.
-#      Any diagnostic fails the stage (tmir_lint exits 2), and the --json
-#      report must parse.
+#      over every built-in kernel, after every stage of
+#      tm_rbe -> tm_mark -> tm_optimize). Always runs: it is built from
+#      this tree and needs no external tooling. Any diagnostic fails the
+#      stage (tmir_lint exits 2), and the --json report must parse.
 #
 #   2. clang-tidy over the library sources, driven by the .clang-tidy
 #      profile at the repo root and the compile database the normal build

@@ -74,7 +74,8 @@ class ConflictMap {
   /// Capacity is 2^slots_log2 sites. The per-descriptor default (512)
   /// covers every realistic per-thread hot set; the run-level merge target
   /// uses a larger table. Slots allocate lazily on the first record, so a
-  /// descriptor that never conflicts (or a gate-off build) costs pointers.
+  /// descriptor that never records (a conflict-free or unobserved run)
+  /// costs pointers.
   explicit ConflictMap(unsigned slots_log2 = 9)
       : mask_((std::size_t{1} << slots_log2) - 1) {}
 

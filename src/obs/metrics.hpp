@@ -66,9 +66,9 @@ class WindowSeries {
 
   /// Run-end hook: close the final (partial) window so the samples
   /// partition the whole run. Idempotent on an unchanged `cur`, and a
-  /// no-op on a series that never anchored — in gate-off builds the
-  /// attempt loop never samples, so the driver's unconditional flush must
-  /// not fabricate a whole-run window out of the final totals.
+  /// no-op on a series that never anchored — a thread that ended no
+  /// attempt never sampled, so the driver's run-end flush must not
+  /// fabricate a whole-run window out of its final totals.
   void flush(const TxStats& cur) {
     if (open_) close_window(cur);
   }

@@ -158,7 +158,9 @@ std::string render_hot_sites(const std::vector<ConflictMap::Site>& sites,
   std::string out;
   if (sites.empty()) {
     out = "hot sites: none recorded";
-    if (overflow == 0) out += " (untraced build or conflict-free run)";
+    if (overflow == 0) {
+      out += ": unobserved run (no --trace/--metrics-out) or conflict-free run";
+    }
     out += "\n";
     return out;
   }

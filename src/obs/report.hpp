@@ -25,8 +25,9 @@ namespace semstm::obs {
 
 /// Ranked hotspot table, one row per site (rank, address, orec, total
 /// aborts, edge count, dominant cause, cause mix). `overflow` > 0 appends
-/// a completeness warning. Empty input renders an explicit "no conflicts
-/// recorded" line so gate-off callers still print something truthful.
+/// a completeness warning. Empty input renders an explicit "none
+/// recorded" line naming the two reasons a run records no site, so an
+/// unobserved or conflict-free caller still prints something truthful.
 std::string render_hot_sites(const std::vector<ConflictMap::Site>& sites,
                              std::uint64_t overflow = 0);
 

@@ -5,7 +5,7 @@
 // loaded). Locals matter because tmir locals are mutable slots, not SSA
 // temps: a kStoreLocal is dead only if no path from it reaches a
 // kLoadLocal of the same slot before the next store — exactly the
-// question liveness answers and the zero-uses heuristic could not ask.
+// question liveness answers and counting syntactic uses cannot.
 //
 // Nothing is live out of a kRet (locals are function-private), so the
 // boundary condition is the empty set at every exit block.

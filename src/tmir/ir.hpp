@@ -117,8 +117,7 @@ struct Block {
 
 /// Live/dead instruction counts for one opcode. Passes mark instructions
 /// dead rather than erasing them, so meaningful statistics after
-/// tm_optimize need both sides of the split — `count_op` alone silently
-/// drifted from MarkStats once loads started dying.
+/// tm_optimize need both sides of the split.
 struct OpCount {
   std::size_t live = 0;
   std::size_t dead = 0;
@@ -136,9 +135,6 @@ struct Function {
   /// Set by pass_tm_mark: semantic builtins are only well-formed after the
   /// marking stage has run (pass_verify's staging rule).
   bool marked = false;
-
-  /// Count of live (non-dead) instructions with the given op.
-  std::size_t count_op(Op op) const noexcept { return count(op).live; }
 
   /// Live and dead counts for the given op.
   OpCount count(Op op) const noexcept {

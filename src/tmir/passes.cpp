@@ -1,6 +1,5 @@
 #include "tmir/passes.hpp"
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,38 +51,13 @@ bool defined_in_block(const Block& b, const Instr* def) noexcept {
   return def >= b.code.data() && def < b.code.data() + b.code.size();
 }
 
-/// Any live TM write strictly between `from` and `to` that could hit the
-/// address in temp `addr`? Without alias analysis every TM write may hit
-/// it; with it, provably no-alias writes are crossed (and reported via
-/// `recovered` so MarkStats::recovered_noalias can count the rewrites the
-/// PR 5 pass refused). The legality condition pass_tm_lint re-checks.
-bool tm_write_between(const AliasAnalysis* aa, const Instr* from,
-                      const Instr* to, std::int32_t addr, bool* recovered) {
-  if (aa == nullptr) {
-    for (const Instr* i = from + 1; i < to; ++i) {
-      if (i->dead) continue;
-      if (i->op == Op::kTmStore || i->op == Op::kTmInc) return true;
-    }
-    return false;
-  }
-  bool saw_write = false;
-  if (aa->clobbers_between(from, to, addr, &saw_write)) return true;
-  if (saw_write && recovered != nullptr) *recovered = true;
-  return false;
-}
-
 }  // namespace
 
-MarkStats pass_tm_mark(Function& f, const MarkOptions& opts) {
+MarkStats pass_tm_mark(Function& f) {
   MarkStats stats;
   auto defs = def_map(f);
-  std::optional<Cfg> cfg;
-  std::optional<AliasAnalysis> alias;
-  if (opts.use_alias) {
-    cfg.emplace(f);
-    alias.emplace(f, *cfg);
-  }
-  const AliasAnalysis* aa = alias ? &*alias : nullptr;
+  const Cfg cfg(f);
+  const AliasAnalysis aa(f, cfg);
 
   // Stores that pass_tm_rbe recorded as witnesses — a kRbeStoreLoad husk's
   // forwarded value, or the overwriter a kRbeDeadStore husk points at —
@@ -127,11 +101,15 @@ MarkStats pass_tm_mark(Function& f, const MarkOptions& opts) {
                             defined_in_block(b, da);
         const bool b_load = db != nullptr && db->op == Op::kTmLoad &&
                             defined_in_block(b, db);
+        // A possibly-aliasing TM write between an origin load and the
+        // compare refuses the rewrite (the legality condition pass_tm_lint
+        // re-proves); `recovered` notes that a provably disjoint one was
+        // crossed.
         bool recovered = false;
         const bool a_clear =
-            a_load && !tm_write_between(aa, da, &i, da->a, &recovered);
+            a_load && !aa.clobbers_between(da, &i, da->a, &recovered);
         const bool b_clear =
-            b_load && !tm_write_between(aa, db, &i, db->a, &recovered);
+            b_load && !aa.clobbers_between(db, &i, db->a, &recovered);
         if ((a_load && !a_clear) || (b_load && !b_clear)) {
           ++stats.skipped_clobbered;
           continue;
@@ -178,14 +156,13 @@ MarkStats pass_tm_mark(Function& f, const MarkOptions& opts) {
         // same temp, or proven must-alias (RBE load merging can leave the
         // surviving load holding a different but equal-valued address temp).
         const auto same_addr = [&](const Instr* load) {
-          return load->a == i.a ||
-                 (aa != nullptr && aa->must_alias(load->a, i.a));
+          return load->a == i.a || aa.must_alias(load->a, i.a);
         };
         // load on the left: store(addr, load(addr) +/- delta)
         if (dx != nullptr && dx->op == Op::kTmLoad && same_addr(dx) &&
             defined_in_block(b, dx) && is_literal_or_local(dy)) {
           bool recovered = false;
-          if (tm_write_between(aa, dx, &i, i.a, &recovered)) {
+          if (aa.clobbers_between(dx, &i, i.a, &recovered)) {
             ++stats.skipped_clobbered;
             continue;
           }
@@ -203,7 +180,7 @@ MarkStats pass_tm_mark(Function& f, const MarkOptions& opts) {
             same_addr(dy) && defined_in_block(b, dy) &&
             is_literal_or_local(dx)) {
           bool recovered = false;
-          if (tm_write_between(aa, dy, &i, i.a, &recovered)) {
+          if (aa.clobbers_between(dy, &i, i.a, &recovered)) {
             ++stats.skipped_clobbered;
             continue;
           }
@@ -380,42 +357,6 @@ OptimizeStats pass_tm_optimize(Function& f) {
     }
   }
   debug_verify(f, "after pass_tm_optimize");
-  return stats;
-}
-
-OptimizeStats pass_tm_optimize_zero_uses(Function& f) {
-  OptimizeStats stats;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<std::uint32_t> uses(f.num_temps, 0);
-    for (const Block& b : f.blocks) {
-      for (const Instr& i : b.code) {
-        if (i.dead) continue;
-        for_each_use(i, [&](std::int32_t t) {
-          if (t >= 0) ++uses[static_cast<std::size_t>(t)];
-        });
-      }
-    }
-    for (Block& b : f.blocks) {
-      for (Instr& i : b.code) {
-        if (i.dead || !produces_value(i.op) || i.dst < 0) continue;
-        if (uses[static_cast<std::size_t>(i.dst)] != 0) continue;
-        // Never-live definition. TmCmp builtins are pure too, but removing
-        // them is left to tm_mark's caller (they carry the semantics the
-        // programmer asked for); everything else pure goes.
-        if (i.op == Op::kTmCmp1 || i.op == Op::kTmCmp2) continue;
-        i.dead = true;
-        i.elim = Elim::kDeadCode;
-        changed = true;
-        if (i.op == Op::kTmLoad) {
-          ++stats.removed_tm_loads;
-        } else {
-          ++stats.removed_other;
-        }
-      }
-    }
-  }
   return stats;
 }
 

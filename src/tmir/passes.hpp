@@ -15,17 +15,9 @@ struct MarkStats {
   /// pass_tm_lint re-proves for every rewrite that *was* made).
   std::size_t skipped_clobbered = 0;
   /// Rewrites that *did* cross one or more intervening TM writes, each
-  /// proven no-alias by AliasAnalysis — exactly the patterns the PR 5
-  /// no-alias-analysis pass counted under skipped_clobbered. Always zero
-  /// with MarkOptions::use_alias off.
+  /// proven no-alias by AliasAnalysis: a pass that treated every TM write
+  /// as a clobber would have counted them under skipped_clobbered.
   std::size_t recovered_noalias = 0;
-};
-
-struct MarkOptions {
-  /// Consult AliasAnalysis so rewrites survive across provably
-  /// non-aliasing TM writes. Off reproduces the PR 5 baseline exactly:
-  /// any intervening TM write refuses the rewrite.
-  bool use_alias = true;
 };
 
 /// tm_mark extension: detect the cmp and inc code patterns.
@@ -42,16 +34,16 @@ struct MarkOptions {
 /// use), mirroring the paper's "we look for simple expression patterns
 /// that usually reside in the same basic block". A rewrite is refused when
 /// a TM write that may alias the origin address intervenes between the
-/// origin load and its use; with the address-provenance analysis
-/// (analysis/alias.hpp, the default) provably non-aliasing writes no
-/// longer block the rewrite, and the inc pattern accepts a load whose
-/// address must-alias the store's rather than requiring the same temp.
+/// origin load and its use; the address-provenance analysis
+/// (analysis/alias.hpp) lets provably non-aliasing writes through, and
+/// the inc pattern accepts a load whose address must-alias the store's
+/// rather than requiring the same temp.
 ///
 /// Each rewritten instruction records its origin temps in src_a/src_b and
 /// the function is flagged `marked`; pass_tm_lint independently re-proves
 /// every recorded rewrite from reaching definitions and its own alias
 /// analysis.
-MarkStats pass_tm_mark(Function& f, const MarkOptions& opts = {});
+MarkStats pass_tm_mark(Function& f);
 
 struct RbeStats {
   std::size_t load_load_forwarded = 0;   ///< kTmLoad reused an earlier load
@@ -98,11 +90,5 @@ struct OptimizeStats {
 /// decision. TM loads are the headline removal (the paper's read-set
 /// reduction); they are counted separately.
 OptimizeStats pass_tm_optimize(Function& f);
-
-/// The pre-analysis heuristic this repo shipped first: iteratively remove
-/// single-assignment definitions with zero syntactic uses. Kept as the
-/// differential baseline — tests assert the liveness pass removes at
-/// least as many dead TM loads on every kernel with identical execution.
-OptimizeStats pass_tm_optimize_zero_uses(Function& f);
 
 }  // namespace semstm::tmir

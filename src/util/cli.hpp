@@ -6,16 +6,19 @@
 // binary never read exits(2) at reject_unread(), which each main calls
 // once it has read its options and before any run starts. So do malformed
 // numbers: "--ops=10k" or "--threads=2;4" exit(2) with the offending token
-// instead of silently parsing a prefix.
+// instead of silently parsing a prefix, and counts are unsigned: "--ops=-1"
+// or "--threads=4294967296" exit(2) instead of wrapping.
 #pragma once
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace semstm {
@@ -29,25 +32,32 @@ namespace detail {
   std::exit(2);
 }
 
-inline std::int64_t parse_i64(const char* what, const std::string& tok) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (tok.empty() || end != tok.c_str() + tok.size() || errno == ERANGE) {
-    die_bad_number(what, tok.c_str());
-  }
-  return static_cast<std::int64_t>(v);
-}
-
+/// Decimal digits only: strtoull would accept a sign (and negate "-1" to
+/// 2^64-1) or leading blanks, so the first character must be a digit.
 inline std::uint64_t parse_u64(const char* what, const std::string& tok) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || end != tok.c_str() + tok.size() || errno == ERANGE ||
-      tok[0] == '-') {
+  if (tok.empty() || tok[0] < '0' || tok[0] > '9' ||
+      end != tok.c_str() + tok.size() || errno == ERANGE) {
     die_bad_number(what, tok.c_str());
   }
   return static_cast<std::uint64_t>(v);
+}
+
+/// parse_u64 narrowed to the caller's unsigned type: a value above T's
+/// maximum exits(2) rather than being truncated.
+template <class T>
+T parse_uint(const char* what, const std::string& tok) {
+  static_assert(std::is_unsigned_v<T>, "counts are unsigned");
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  const std::uint64_t v = parse_u64(what, tok);
+  if (v > kMax) {
+    std::fprintf(stderr, "error: %s: %s is out of range (max %llu)\n", what,
+                 tok.c_str(), static_cast<unsigned long long>(kMax));
+    std::exit(2);
+  }
+  return static_cast<T>(v);
 }
 
 inline double parse_f64(const char* what, const std::string& tok) {
@@ -90,10 +100,12 @@ class Cli {
     return it == kv_.end() ? dflt : it->second;
   }
 
-  std::int64_t get_int(const std::string& key, std::int64_t dflt) const {
+  /// An unsigned count of the caller's type, e.g. get_uint<unsigned>.
+  template <class T>
+  T get_uint(const std::string& key, T dflt) const {
     auto it = find(key);
     if (it == kv_.end()) return dflt;
-    return detail::parse_i64(("--" + key).c_str(), it->second);
+    return detail::parse_uint<T>(("--" + key).c_str(), it->second);
   }
 
   double get_double(const std::string& key, double dflt) const {
@@ -115,10 +127,8 @@ class Cli {
     while (pos <= s.size()) {
       auto comma = s.find(',', pos);
       if (comma == std::string::npos) comma = s.size();
-      const std::uint64_t v =
-          detail::parse_u64(what.c_str(), s.substr(pos, comma - pos));
-      if (v > 0xFFFFFFFFull) detail::die_bad_number(what.c_str(), s.c_str());
-      out.push_back(static_cast<unsigned>(v));
+      const std::string tok = s.substr(pos, comma - pos);
+      out.push_back(detail::parse_uint<unsigned>(what.c_str(), tok));
       pos = comma + 1;
     }
     return out;

@@ -1,10 +1,12 @@
 // Strict CLI parsing. Malformed numbers used to be silently truncated by
 // atoll ("--ops=10k" ran 10 ops); now every numeric token must parse
-// completely or the process exits(2) naming the token. Likewise every
-// --key a binary never reads exits(2) at reject_unread(), naming the key.
+// completely, and a count must be unsigned and fit the caller's type, or
+// the process exits(2) naming the token. Likewise every --key a binary
+// never reads exits(2) at reject_unread(), naming the key.
 // Rejection paths are death tests: the parser is specified to terminate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,11 +25,12 @@ Cli make_cli(std::vector<std::string> args) {
 }
 
 TEST(Cli, ParsesWellFormedInts) {
-  Cli cli = make_cli({"--ops=1000", "--threads", "4", "--neg=-7"});
-  EXPECT_EQ(cli.get_int("ops", 0), 1000);
-  EXPECT_EQ(cli.get_int("threads", 0), 4);
-  EXPECT_EQ(cli.get_int("neg", 0), -7);
-  EXPECT_EQ(cli.get_int("absent", 42), 42);
+  Cli cli = make_cli(
+      {"--ops=1000", "--threads", "4", "--seed=18446744073709551615"});
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("ops", 0), 1000u);
+  EXPECT_EQ(cli.get_uint<unsigned>("threads", 0), 4u);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("seed", 0), ~std::uint64_t{0});
+  EXPECT_EQ(cli.get_uint<unsigned>("absent", 42), 42u);
 }
 
 TEST(Cli, ParsesWellFormedDoublesAndLists) {
@@ -45,14 +48,32 @@ TEST(Cli, ParsesWellFormedDoublesAndLists) {
 
 TEST(CliDeath, RejectsTrailingGarbageInt) {
   Cli cli = make_cli({"--ops=10k"});
-  EXPECT_EXIT(cli.get_int("ops", 0), ::testing::ExitedWithCode(2),
-              "--ops: malformed number '10k'");
+  EXPECT_EXIT(cli.get_uint<std::uint64_t>("ops", 0),
+              ::testing::ExitedWithCode(2), "--ops: malformed number '10k'");
 }
 
 TEST(CliDeath, RejectsEmptyValue) {
   Cli cli = make_cli({"--ops="});
-  EXPECT_EXIT(cli.get_int("ops", 0), ::testing::ExitedWithCode(2),
-              "malformed number");
+  EXPECT_EXIT(cli.get_uint<std::uint64_t>("ops", 0),
+              ::testing::ExitedWithCode(2), "malformed number");
+}
+
+// Counts are unsigned: a sign (or a blank before it) must not wrap -5 to
+// 2^64-5.
+TEST(CliDeath, RejectsNegativeCount) {
+  Cli cli = make_cli({"--ops=-5", "--seed= -5"});
+  EXPECT_EXIT(cli.get_uint<std::uint64_t>("ops", 0),
+              ::testing::ExitedWithCode(2), "--ops: malformed number '-5'");
+  EXPECT_EXIT(cli.get_uint<std::uint64_t>("seed", 0),
+              ::testing::ExitedWithCode(2), "--seed: malformed number ' -5'");
+}
+
+// A count must fit the caller's type rather than truncate (2^32 -> 0).
+TEST(CliDeath, RejectsCountAboveTheCallersType) {
+  Cli cli = make_cli({"--threads=4294967296"});
+  EXPECT_EXIT(cli.get_uint<unsigned>("threads", 0),
+              ::testing::ExitedWithCode(2),
+              "--threads: 4294967296 is out of range \\(max 4294967295\\)");
 }
 
 TEST(CliDeath, RejectsGarbageDouble) {
@@ -93,7 +114,7 @@ TEST(CliDeath, RejectsUnrecognizedArgument) {
 TEST(CliDeath, RejectsKeysTheBinaryNeverRead) {
   // A leftover option must not silently run the default.
   Cli cli = make_cli({"--ops=10", "--real", "--cm=yield", "--trace", "t"});
-  EXPECT_EQ(cli.get_int("ops", 0), 10);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("ops", 0), 10u);
   EXPECT_TRUE(cli.has("trace"));
   EXPECT_EXIT(cli.reject_unread(), ::testing::ExitedWithCode(2),
               "unrecognized option: --cm\nunrecognized option: --real");

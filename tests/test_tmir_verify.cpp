@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -639,25 +640,19 @@ TEST(TmLint, CountsRbeProofObligations) {
 // Liveness-based tm_optimize
 // ---------------------------------------------------------------------------
 
-TEST(TmOptimize, RemovesDeadLocalStoreChainsTheHeuristicMissed) {
+TEST(TmOptimize, RemovesDeadLocalStoreChains) {
   // t = TM_READ(x); locals[0] = t; ret 0 — slot 0 is never loaded, so the
-  // store, the load and the whole chain are dead. The zero-uses heuristic
-  // cannot see it (the store *syntactically* uses t); liveness can.
-  auto build = [] {
-    Builder b("deadchain", 1, 1);
-    const auto v = b.tm_load(b.arg(0));
-    b.store_local(0, v);
-    b.ret(b.konst(0));
-    return b.finish();
-  };
-  Function legacy = build();
-  Function lively = build();
-  const OptimizeStats os_legacy = pass_tm_optimize_zero_uses(legacy);
-  const OptimizeStats os_live = pass_tm_optimize(lively);
-  EXPECT_EQ(os_legacy.removed_tm_loads, 0u);
-  EXPECT_EQ(os_live.removed_tm_loads, 1u);
-  EXPECT_EQ(lively.count(Op::kStoreLocal).dead, 1u);
-  EXPECT_TRUE(pass_verify(lively).empty());
+  // store, the load and the whole chain are dead, although the store
+  // *syntactically* uses t: counting uses cannot see it, liveness can.
+  Builder b("deadchain", 1, 1);
+  const auto v = b.tm_load(b.arg(0));
+  b.store_local(0, v);
+  b.ret(b.konst(0));
+  Function f = b.finish();
+  const OptimizeStats os = pass_tm_optimize(f);
+  EXPECT_EQ(os.removed_tm_loads, 1u);
+  EXPECT_EQ(f.count(Op::kStoreLocal).dead, 1u);
+  EXPECT_TRUE(pass_verify(f).empty());
 }
 
 TEST(TmOptimize, KeepsLocalStoresThatFeedALaterLoad) {
@@ -707,23 +702,21 @@ TEST(TmOptimize, KillsUnreachableBlocks) {
   EXPECT_TRUE(pass_verify(f).empty());
 }
 
-TEST(TmOptimize, NeverWeakerThanZeroUsesOnAnyKernel) {
-  // Acceptance: the liveness pass removes at least as many dead TM loads
-  // as the shipped heuristic on every kernel, and its removal counter
-  // agrees exactly with the dead-load count in the IR (no stats drift).
-  for (Function& lively : all_kernels()) {
-    Function legacy = lively;  // same IR, two pipelines
-    pass_tm_mark(legacy);
-    pass_tm_mark(lively);
-    const OptimizeStats os_legacy = pass_tm_optimize_zero_uses(legacy);
-    const OptimizeStats os_live = pass_tm_optimize(lively);
-    EXPECT_GE(os_live.removed_tm_loads, os_legacy.removed_tm_loads)
-        << lively.name;
-    EXPECT_EQ(os_live.removed_tm_loads, lively.count(Op::kTmLoad).dead)
-        << lively.name;
-    EXPECT_EQ(lively.count(Op::kTmLoad).live + lively.count(Op::kTmLoad).dead,
-              lively.count(Op::kTmLoad).total())
-        << lively.name;
+TEST(TmOptimize, RemovesEveryKernelsDeadLoadsExactly) {
+  // tm_mark -> tm_optimize removes exactly these TM loads per kernel, in
+  // all_kernels() order: probe, insert, remove, reserve(4) (3 price reads
+  // stay live), center_update(8) (the read halves of all 9 increments;
+  // only the trailing length re-read stays live). The removal counter
+  // also agrees with the dead-load count in the IR (no stats drift).
+  const std::size_t want[] = {3, 2, 3, 6, 9};
+  std::vector<Function> kernels = all_kernels();
+  ASSERT_EQ(kernels.size(), std::size(want));
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    Function& f = kernels[k];
+    pass_tm_mark(f);
+    const OptimizeStats os = pass_tm_optimize(f);
+    EXPECT_EQ(os.removed_tm_loads, want[k]) << f.name;
+    EXPECT_EQ(os.removed_tm_loads, f.count(Op::kTmLoad).dead) << f.name;
   }
 }
 
@@ -764,7 +757,6 @@ TEST(OpCount, LiveAndDeadSplitStaysConsistentThroughThePipeline) {
   const OpCount loads = f.count(Op::kTmLoad);
   EXPECT_EQ(loads.total(), loads_before);  // husks remain, split shifts
   EXPECT_EQ(loads.dead, os.removed_tm_loads);
-  EXPECT_EQ(f.count_op(Op::kTmLoad), loads.live);  // legacy accessor == live
 }
 
 // ---------------------------------------------------------------------------
