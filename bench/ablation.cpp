@@ -3,7 +3,10 @@
 //  A. Clause-level vs per-operator semantic validation: the hashtable
 //     probe's continuation condition validated as one cmp_or clause
 //     (paper §3's composed conditional) vs. as two independent cmps.
-//     This isolates WHY the composed form is what saves the aborts.
+//     This isolates WHY the composed form is what saves the aborts. A
+//     last row adds the stable compare (an extension beyond Table 1):
+//     the clause probe with its FREE check left unrecorded once it holds.
+//     Validate entries per commit show the validation work each row pays.
 //  B. Orec table sizing for TL2/S-TL2: fewer orecs -> more false
 //     conflicts via hash collisions.
 //  C. Semantic RB-tree descent: the paper leaves tree internals
@@ -31,7 +34,7 @@ using namespace semstm;
 void ablation_clause(std::uint64_t ops) {
   std::printf("## A. probe validation granularity (identical workload)\n");
   std::printf("#    hashtable workload, snorec, 16 simulated threads\n");
-  std::printf("mode,throughput,abort%%\n");
+  std::printf("mode,throughput,abort%%,validate_entries/commit\n");
   struct Case {
     const char* label;
     TOpenHashTable::ProbeMode mode;
@@ -40,6 +43,7 @@ void ablation_clause(std::uint64_t ops) {
       {"base(reads)", TOpenHashTable::ProbeMode::kBase},
       {"per-operator", TOpenHashTable::ProbeMode::kPerOperator},
       {"clause(cmp_or)", TOpenHashTable::ProbeMode::kClause},
+      {"clause+stable", TOpenHashTable::ProbeMode::kStable},
   };
   for (const Case& c : cases) {
     HashtableWorkload w(HashtableWorkload::Params{}, c.mode);
@@ -49,7 +53,9 @@ void ablation_clause(std::uint64_t ops) {
     cfg.ops_per_thread = ops;
     cfg.sim_quantum = 24;
     const RunResult r = run_workload(cfg, w);
-    std::printf("%s,%.1f,%.2f\n", c.label, r.throughput, r.abort_pct);
+    std::printf("%s,%.1f,%.2f,%.1f\n", c.label, r.throughput, r.abort_pct,
+                static_cast<double>(r.stats.validate_entries) /
+                    static_cast<double>(r.stats.commits));
   }
   std::printf("\n");
 }

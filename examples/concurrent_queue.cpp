@@ -8,6 +8,8 @@
 //   $ ./concurrent_queue --algo snorec    # semantic constructs
 //
 // Exits 1 if produced - consumed differs from what is left in the queue.
+// Enqueues into a full queue fail and are counted apart (`full=`); with
+// --threads 3 (two producers, one consumer) the queue fills.
 #include <cstdio>
 
 #include "containers/tqueue.hpp"
@@ -32,7 +34,7 @@ int main(int argc, char** argv) {
   for (unsigned t = 0; t < threads; ++t) {
     ctxs.push_back(std::make_unique<ThreadCtx>(algo->make_tx()));
   }
-  std::uint64_t produced = 0, consumed = 0;
+  std::uint64_t produced = 0, consumed = 0, full = 0;
 
   sched::VirtualScheduler sim;
   sim.run(threads, [&](unsigned tid) {
@@ -43,6 +45,8 @@ int main(int argc, char** argv) {
               return queue.enqueue(tx, static_cast<std::int64_t>(i));
             })) {
           ++produced;  // single carrier thread: plain counters are fine
+        } else {
+          ++full;
         }
       } else {
         if (atomically([&](auto& tx) { return queue.dequeue(tx); })) {
@@ -62,6 +66,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(consumed),
               static_cast<long long>(queue.unsafe_size()),
               conserved ? "yes" : "NO");
+  std::printf("full=%llu (enqueues refused by the full queue)\n",
+              static_cast<unsigned long long>(full));
   std::printf("commits=%llu aborts=%llu abort%%=%.2f\n",
               static_cast<unsigned long long>(total.commits),
               static_cast<unsigned long long>(total.aborts),

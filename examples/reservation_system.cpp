@@ -9,6 +9,8 @@
 //   $ ./reservation_system --algo stl2 --threads 8
 //
 // Exits 1 if booked + remaining slots differs from the initial capacity.
+// A reservation that finds no candidate with a free slot is refused and
+// counted apart (`refused=`); enough --sessions sell the slots out.
 #include <cstdio>
 
 #include "containers/trbtree.hpp"
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
     ctxs.push_back(std::make_unique<ThreadCtx>(algo->make_tx()));
     rngs.emplace_back(77 + t);
   }
-  std::uint64_t booked = 0;
+  std::uint64_t booked = 0, refused = 0;
 
   sched::VirtualScheduler sim;
   sim.run(threads, [&](unsigned tid) {
@@ -110,7 +112,11 @@ int main(int argc, char** argv) {
         }
         return true;
       });
-      if (ok) ++booked;
+      if (ok) {
+        ++booked;
+      } else {
+        ++refused;
+      }
     }
   });
 
@@ -132,6 +138,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(booked),
               static_cast<long long>(remaining),
               static_cast<long long>(capacity), conserved ? "yes" : "NO");
+  std::printf("refused=%llu (reservations with no available candidate)\n",
+              static_cast<unsigned long long>(refused));
   std::printf("commits=%llu aborts=%llu abort%%=%.2f promotions=%llu\n",
               static_cast<unsigned long long>(total.commits),
               static_cast<unsigned long long>(total.aborts), total.abort_pct(),

@@ -44,17 +44,16 @@ class SnorecCore final : public NorecCoreT<SnorecCore> {
 
   /// Alg. 6 Compare (lines 29-36).
   bool cmp(const tword* addr, Rel rel, word_t operand) {
-    sched::tick(sched::Cost::kCmp);
-    ++stats.compares;
-    trace_semantic_op(obs::SemanticOp::kCmp, addr);
-    if (WriteEntry* e = writes_.find(addr)) {
-      return eval(rel, raw(addr, e), operand);
-    }
-    const word_t v = read_valid(addr);
-    const bool result = eval(rel, v, operand);
-    reads_.append_cmp(addr, rel, operand, result);
-    ++stats.readset_adds;
-    return result;
+    return compare(addr, rel, operand, /*stable=*/false);
+  }
+
+  /// Stable compare (semstm::cmp_stable, DESIGN.md §4.7): the value comes
+  /// from read_valid at snapshot_, and a relation the caller declares
+  /// permanent still holds at every later snapshot, so no validation can
+  /// need its entry. A relation that does not hold is recorded as cmp
+  /// records it.
+  bool cmp_stable(const tword* addr, Rel rel, word_t operand) {
+    return compare(addr, rel, operand, /*stable=*/true);
   }
 
   /// Address–address compare (the paper's _ITM_S2R case; §3/§6). Both
@@ -134,6 +133,33 @@ class SnorecCore final : public NorecCoreT<SnorecCore> {
     }
     return e->value;
   }
+
+ private:
+  /// cmp and cmp_stable: one read and evaluation path, which differ only in
+  /// whether a held outcome is recorded. `stable` is a run-time flag, not a
+  /// template parameter: two instantiations doubled the read-set append
+  /// sites, and GCC then stopped inlining the append into NOrec's read
+  /// barrier (perfbench vacation-1t NOrec −17%, EXPERIMENTS.md).
+  bool compare(const tword* addr, Rel rel, word_t operand, bool stable) {
+    sched::tick(sched::Cost::kCmp);
+    ++stats.compares;
+    trace_semantic_op(obs::SemanticOp::kCmp, addr);
+    if (WriteEntry* e = writes_.find(addr)) {
+      return eval(rel, raw(addr, e), operand);
+    }
+    const word_t v = read_valid(addr);
+    const bool result = eval(rel, v, operand);
+    if (stable && result) {
+      ++stats.readset_dups;
+    } else {
+      reads_.append_cmp(addr, rel, operand, result);
+      ++stats.readset_adds;
+    }
+    return result;
+  }
 };
+
+static_assert(HasStableCmp<SnorecCore>,
+              "cmp_stable(tx, ...) must reach SnorecCore::cmp_stable");
 
 }  // namespace semstm

@@ -64,18 +64,17 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
 
   /// Alg. 7 Compare (lines 4-36).
   bool cmp(const tword* addr, Rel rel, word_t operand) {
-    sched::tick(sched::Cost::kCmp);
-    ++stats.compares;
-    trace_semantic_op(obs::SemanticOp::kCmp, addr);
-    if (WriteEntry* e = writes_.find(addr)) {
-      return eval(rel, raw(addr, e), operand);
-    }
-    const word_t val = read_for_cmp(addr);
-    const bool result = eval(rel, val, operand);
-    compares_.append_cmp(addr, rel, operand, result);
-    ++stats.readset_adds;
-    if (phase1_pending_extend_) extend_start_version();
-    return result;
+    return compare(addr, rel, operand, /*stable=*/false);
+  }
+
+  /// Stable compare (semstm::cmp_stable, DESIGN.md §4.7): read_for_cmp's
+  /// phase rules still run, so a phase-1 load newer than start_version_
+  /// still extends the snapshot. Only the compare-set append is skipped
+  /// when the relation holds: the caller declares it permanent, so it
+  /// holds at every later start version and at commit. A relation that
+  /// does not hold is recorded as cmp records it.
+  bool cmp_stable(const tword* addr, Rel rel, word_t operand) {
+    return compare(addr, rel, operand, /*stable=*/true);
   }
 
   /// Address–address compare (paper §3 extension). Both loads go through
@@ -204,6 +203,28 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   }
 
  private:
+  /// cmp and cmp_stable: one read and evaluation path, which differ only in
+  /// whether a held outcome joins the compare-set. `stable` is a run-time
+  /// flag for the reason SnorecCore::compare gives.
+  bool compare(const tword* addr, Rel rel, word_t operand, bool stable) {
+    sched::tick(sched::Cost::kCmp);
+    ++stats.compares;
+    trace_semantic_op(obs::SemanticOp::kCmp, addr);
+    if (WriteEntry* e = writes_.find(addr)) {
+      return eval(rel, raw(addr, e), operand);
+    }
+    const word_t val = read_for_cmp(addr);
+    const bool result = eval(rel, val, operand);
+    if (stable && result) {
+      ++stats.readset_dups;
+    } else {
+      compares_.append_cmp(addr, rel, operand, result);
+      ++stats.readset_adds;
+    }
+    if (phase1_pending_extend_) extend_start_version();
+    return result;
+  }
+
   /// Phase-aware consistent load for cmp operands. In phase 1 (empty
   /// read-set) locked orecs and version changes are retried/waited, and a
   /// successful load past start_version_ schedules a snapshot extension;
@@ -371,5 +392,8 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   Seen cmp_seen_[kSeenSlots];           ///< dedup cache for cmp_orecs_
   bool phase1_pending_extend_ = false;
 };
+
+static_assert(HasStableCmp<Stl2Core>,
+              "cmp_stable(tx, ...) must reach Stl2Core::cmp_stable");
 
 }  // namespace semstm

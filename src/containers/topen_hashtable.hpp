@@ -6,6 +6,11 @@
 // touches a probed cell without changing the outcome of the checks does
 // not abort the prober; in base mode they are plain transactional reads
 // (the configuration the paper's NOrec/TL2 curves use).
+//
+// A cell never returns to FREE: remove leaves a tombstone, and nothing
+// stores kFree after construction. The kStable probe (an extension beyond
+// Algorithm 2) therefore asks "not FREE" as a stable compare, which S-NOrec
+// and S-TL2 do not record once it holds (semstm::cmp_stable).
 #pragma once
 
 #include <cstdint>
@@ -26,8 +31,10 @@ class TOpenHashTable {
   ///  kBase        — classical transactional reads (NOrec/TL2 curves)
   ///  kPerOperator — each comparison is an independent semantic cmp
   ///  kClause      — the continuation disjunction is ONE cmp_or clause
-  ///                 (the paper's composed conditional; default semantic)
-  enum class ProbeMode : std::uint8_t { kBase, kPerOperator, kClause };
+  ///                 (the paper's composed conditional, Fig. 1a)
+  ///  kStable      — kClause, with the FREE check asked as the stable
+  ///                 compare `state != FREE` (default semantic)
+  enum class ProbeMode : std::uint8_t { kBase, kPerOperator, kClause, kStable };
 
   /// capacity must be a power of two.
   TOpenHashTable(std::size_t capacity, ProbeMode mode)
@@ -38,10 +45,10 @@ class TOpenHashTable {
     assert((capacity & mask_) == 0 && "capacity must be a power of two");
   }
 
-  /// Convenience: true = clause-level semantics, false = classical reads.
+  /// Convenience: true = the stable-compare probe, false = classical reads.
   TOpenHashTable(std::size_t capacity, bool use_semantics)
       : TOpenHashTable(capacity,
-                       use_semantics ? ProbeMode::kClause : ProbeMode::kBase) {}
+                       use_semantics ? ProbeMode::kStable : ProbeMode::kBase) {}
 
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
@@ -56,7 +63,7 @@ class TOpenHashTable {
     std::size_t index = hash(key);
     std::optional<std::size_t> first_reusable;
     for (std::size_t step = 0; step <= mask_; ++step) {
-      if (state_is(tx, index, kFree)) {
+      if (is_free(tx, index)) {
         const std::size_t target = first_reusable.value_or(index);
         keys_[target].set(tx, key);
         states_[target].set(tx, kBusy);
@@ -116,6 +123,15 @@ class TOpenHashTable {
   bool key_is(TxT& tx, std::size_t i, Key key) {
     return semantic() ? keys_[i].eq(tx, key) : keys_[i].get(tx) == key;
   }
+  /// The probe's FREE check. Only kStable declares `state != FREE` stable:
+  /// no store of kFree follows construction, so once it holds it holds.
+  template <typename TxT>
+  bool is_free(TxT& tx, std::size_t i) {
+    if (mode_ == ProbeMode::kStable) {
+      return !states_[i].cmp_stable(tx, Rel::NEQ, kFree);
+    }
+    return state_is(tx, i, kFree);
+  }
 
   /// Algorithm 2: probe until a FREE cell (absent) or a matching BUSY cell.
   ///
@@ -129,8 +145,8 @@ class TOpenHashTable {
     std::size_t index = hash(key);
     for (std::size_t step = 0; step <= mask_; ++step) {
       // while (state != FREE && (state == REMOVED || key != value)) probe.
-      if (mode_ == ProbeMode::kClause) {
-        if (states_[index].eq(tx, kFree)) return std::nullopt;
+      if (mode_ == ProbeMode::kClause || mode_ == ProbeMode::kStable) {
+        if (is_free(tx, index)) return std::nullopt;
         const CmpTerm pass[2] = {
             term<std::int64_t>(states_[index], Rel::EQ, kRemoved),
             term<std::int64_t>(keys_[index], Rel::NEQ, key),

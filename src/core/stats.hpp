@@ -61,12 +61,13 @@ struct TxStats {
   std::uint64_t promotions = 0;   ///< inc promoted to read+write (RAW)
   std::uint64_t validations = 0;  ///< read/compare-set validation passes
 
-  // Read-set economy counters (PR 3): dedup keeps commit-time validation
+  // Read-set economy counters: dedup keeps commit-time validation
   // O(unique locations) instead of O(reads). `readset_adds` counts entries
   // actually appended to a read/compare-set, `readset_dups` the appends
-  // skipped because an equivalent entry was already tracked, and
-  // `validate_entries` the entries examined across all validation passes —
-  // the direct measure of validation work per commit.
+  // skipped because validating them could not fail (an equivalent entry was
+  // already tracked, or a stable compare held), and `validate_entries` the
+  // entries examined across all validation passes — the direct measure of
+  // validation work per commit.
   std::uint64_t readset_adds = 0;
   std::uint64_t readset_dups = 0;
   std::uint64_t validate_entries = 0;

@@ -3,6 +3,7 @@
 // Classical access:   x.get(tx) / x.set(tx, v)          (TM_READ / TM_WRITE)
 // Semantic access:    x.gt(tx, v), x.lte(tx, other)...  (Table 1)
 //                     x.add(tx, d) / x.sub(tx, d)       (TM_INC / TM_DEC)
+//                     x.cmp_stable(tx, Rel::NEQ, v)     (stable compare)
 //
 // Ordered comparisons pick the signed or unsigned relation from T.
 // `unsafe_*` accessors bypass the TM for single-threaded setup/verification.
@@ -76,6 +77,15 @@ class TVar {
     requires std::is_integral_v<T>
   {
     return tx.cmp(&word_, rel_ge<T>(), to_word(v));
+  }
+
+  /// Stable compare `*this REL v` (extension beyond Table 1): the caller
+  /// declares that once it holds, it holds for the rest of the program, so
+  /// S-NOrec and S-TL2 record nothing when it holds (semstm::cmp_stable).
+  /// An ordered `rel` must carry T's signedness (rel_lt<T>() and friends).
+  template <typename TxT>
+  bool cmp_stable(TxT& tx, Rel rel, T v) const {
+    return semstm::cmp_stable(tx, &word_, rel, to_word(v));
   }
 
   // -- Semantic constructs: address–address --------------------------------

@@ -22,6 +22,10 @@
 //   void inc (addr, delta)        — deferred increment (TM_INC / TM_DEC:
 //                                   delta is two's-complement, so decrement
 //                                   is inc with a negative delta)
+//   bool cmp_stable(tx, addr, Rel, value)
+//                                 — a cmp whose true outcome the caller
+//                                   declares permanent (extension beyond
+//                                   Table 1; free function below)
 //
 // Non-semantic algorithms (NOrec, TL2, CGL) use the generic_* delegations
 // below, which lower cmp/inc to read/write. That is exactly the paper's
@@ -29,6 +33,7 @@
 // API but the algorithm handles it non-semantically.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 
 #include "core/semantics.hpp"
@@ -223,6 +228,28 @@ class TxCoreBase {
 template <typename TxT>
 bool generic_cmp(TxT& tx, const tword* addr, Rel rel, word_t operand) {
   return eval(rel, tx.read(addr), operand);
+}
+
+/// A descriptor with a native stable compare (S-NOrec, S-TL2; each core's
+/// header asserts it, so a renamed member cannot quietly fall back).
+template <typename TxT>
+concept HasStableCmp = requires(TxT& tx, const tword* a, Rel r, word_t v) {
+  { tx.cmp_stable(a, r, v) } -> std::same_as<bool>;
+};
+
+/// Stable compare `*addr REL operand` (an extension beyond Table 1,
+/// DESIGN.md §4.7): the caller declares that once the relation holds, no
+/// committed transaction and no non-transactional store ever makes it
+/// false again. A core with the member records nothing when it holds —
+/// validating that entry could not fail — and an ordinary cmp entry when it
+/// does not. Every other descriptor runs its ordinary cmp.
+template <typename TxT>
+bool cmp_stable(TxT& tx, const tword* addr, Rel rel, word_t operand) {
+  if constexpr (HasStableCmp<TxT>) {
+    return tx.cmp_stable(addr, rel, operand);
+  } else {
+    return tx.cmp(addr, rel, operand);
+  }
 }
 
 template <typename TxT>

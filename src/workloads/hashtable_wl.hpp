@@ -30,7 +30,7 @@ class HashtableWorkload final : public MonoWorkload<HashtableWorkload> {
   HashtableWorkload(Params p, bool semantic)
       : p_(p), table_(p.capacity, semantic) {}
 
-  /// Explicit probe-mode variant (used by the ablation study).
+  /// Explicit probe-mode variant (Fig. 1a's Algorithm 2 probe, ablation A).
   HashtableWorkload(Params p, TOpenHashTable::ProbeMode mode)
       : p_(p), table_(p.capacity, mode) {}
 

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "containers/tlru.hpp"
 #include "containers/topen_hashtable.hpp"
@@ -25,6 +26,15 @@ using Param = std::tuple<std::string, bool>;
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
   return std::get<0>(info.param) +
          (std::get<1>(info.param) ? "_semantic" : "_base");
+}
+
+/// The hashtable probes a test covers: plain reads in base mode;
+/// Algorithm 2's clause probe and the stable-compare probe in semantic
+/// mode.
+std::vector<TOpenHashTable::ProbeMode> probe_modes(bool semantic) {
+  using Mode = TOpenHashTable::ProbeMode;
+  if (!semantic) return {Mode::kBase};
+  return {Mode::kClause, Mode::kStable};
 }
 
 class Containers : public ::testing::TestWithParam<Param> {
@@ -47,40 +57,46 @@ class Containers : public ::testing::TestWithParam<Param> {
 // ---------------------------------------------------------------------------
 
 TEST_P(Containers, HashtableInsertContainsRemove) {
-  TOpenHashTable ht(256, semantic_);
-  atomically([&](auto& tx) {
-    EXPECT_FALSE(ht.contains(tx, 5));
-    EXPECT_TRUE(ht.insert(tx, 5));
-    EXPECT_TRUE(ht.contains(tx, 5));
-    EXPECT_FALSE(ht.insert(tx, 5));  // duplicate
-    EXPECT_TRUE(ht.remove(tx, 5));
-    EXPECT_FALSE(ht.contains(tx, 5));
-    EXPECT_FALSE(ht.remove(tx, 5));  // already gone
-  });
+  for (const auto mode : probe_modes(semantic_)) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TOpenHashTable ht(256, mode);
+    atomically([&](auto& tx) {
+      EXPECT_FALSE(ht.contains(tx, 5));
+      EXPECT_TRUE(ht.insert(tx, 5));
+      EXPECT_TRUE(ht.contains(tx, 5));
+      EXPECT_FALSE(ht.insert(tx, 5));  // duplicate
+      EXPECT_TRUE(ht.remove(tx, 5));
+      EXPECT_FALSE(ht.contains(tx, 5));
+      EXPECT_FALSE(ht.remove(tx, 5));  // already gone
+    });
+  }
 }
 
 TEST_P(Containers, HashtableMatchesSetOracle) {
-  TOpenHashTable ht(1024, semantic_);
-  std::set<std::int64_t> oracle;
-  Rng rng(123);
-  for (int i = 0; i < 2000; ++i) {
-    const std::int64_t key = rng.between(0, 500);
-    const auto action = rng.below(3);
-    atomically([&](auto& tx) {
-      switch (action) {
-        case 0:
-          EXPECT_EQ(ht.insert(tx, key), oracle.insert(key).second);
-          break;
-        case 1:
-          EXPECT_EQ(ht.remove(tx, key), oracle.erase(key) > 0);
-          break;
-        default:
-          EXPECT_EQ(ht.contains(tx, key), oracle.count(key) > 0);
-          break;
-      }
-    });
+  for (const auto mode : probe_modes(semantic_)) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TOpenHashTable ht(1024, mode);
+    std::set<std::int64_t> oracle;
+    Rng rng(123);
+    for (int i = 0; i < 2000; ++i) {
+      const std::int64_t key = rng.between(0, 500);
+      const auto action = rng.below(3);
+      atomically([&](auto& tx) {
+        switch (action) {
+          case 0:
+            EXPECT_EQ(ht.insert(tx, key), oracle.insert(key).second);
+            break;
+          case 1:
+            EXPECT_EQ(ht.remove(tx, key), oracle.erase(key) > 0);
+            break;
+          default:
+            EXPECT_EQ(ht.contains(tx, key), oracle.count(key) > 0);
+            break;
+        }
+      });
+    }
+    EXPECT_EQ(ht.unsafe_size(), oracle.size());
   }
-  EXPECT_EQ(ht.unsafe_size(), oracle.size());
 }
 
 TEST_P(Containers, HashtablePerOperatorProbeMatchesOracle) {
@@ -104,14 +120,17 @@ TEST_P(Containers, HashtablePerOperatorProbeMatchesOracle) {
 }
 
 TEST_P(Containers, HashtableReusesTombstones) {
-  TOpenHashTable ht(16, semantic_);
-  atomically([&](auto& tx) {
-    for (int k = 0; k < 10; ++k) EXPECT_TRUE(ht.insert(tx, k));
-    for (int k = 0; k < 10; ++k) EXPECT_TRUE(ht.remove(tx, k));
-    for (int k = 10; k < 20; ++k) EXPECT_TRUE(ht.insert(tx, k));
-    for (int k = 10; k < 20; ++k) EXPECT_TRUE(ht.contains(tx, k));
-  });
-  EXPECT_EQ(ht.unsafe_size(), 10u);
+  for (const auto mode : probe_modes(semantic_)) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TOpenHashTable ht(16, mode);
+    atomically([&](auto& tx) {
+      for (int k = 0; k < 10; ++k) EXPECT_TRUE(ht.insert(tx, k));
+      for (int k = 0; k < 10; ++k) EXPECT_TRUE(ht.remove(tx, k));
+      for (int k = 10; k < 20; ++k) EXPECT_TRUE(ht.insert(tx, k));
+      for (int k = 10; k < 20; ++k) EXPECT_TRUE(ht.contains(tx, k));
+    });
+    EXPECT_EQ(ht.unsafe_size(), 10u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,8 +328,8 @@ bool semantic_algo(const std::string& algo) {
 /// Thread-disjoint hashtable inserts.
 class HashInsertWorkload final : public MonoWorkload<HashInsertWorkload> {
  public:
-  explicit HashInsertWorkload(const std::string& algo)
-      : ht(4096, /*use_semantics=*/semantic_algo(algo)) {}
+  explicit HashInsertWorkload(TOpenHashTable::ProbeMode mode)
+      : ht(4096, mode) {}
   template <typename TxT>
   void op_t(unsigned tid, Rng& rng) {
     const auto key = static_cast<std::int64_t>(tid) * 1000000 +
@@ -357,17 +376,20 @@ class TreeInsertWorkload final : public MonoWorkload<TreeInsertWorkload> {
 class ContainerStress : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ContainerStress, HashtableConcurrentDistinctInserts) {
-  HashInsertWorkload w(GetParam());
-  RunConfig cfg;
-  cfg.algo = GetParam();
-  cfg.mode = ExecMode::kSim;
-  cfg.threads = 4;
-  cfg.ops_per_thread = 300;
-  run_workload(cfg, w);
-  // Keys are thread-disjoint; duplicates within a thread are possible, so
-  // the size is <= attempts but must be substantial and consistent.
-  EXPECT_GT(w.ht.unsafe_size(), 1000u);
-  EXPECT_LE(w.ht.unsafe_size(), 1200u);
+  for (const auto mode : probe_modes(semantic_algo(GetParam()))) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    HashInsertWorkload w(mode);
+    RunConfig cfg;
+    cfg.algo = GetParam();
+    cfg.mode = ExecMode::kSim;
+    cfg.threads = 4;
+    cfg.ops_per_thread = 300;
+    run_workload(cfg, w);
+    // Keys are thread-disjoint; duplicates within a thread are possible, so
+    // the size is <= attempts but must be substantial and consistent.
+    EXPECT_GT(w.ht.unsafe_size(), 1000u);
+    EXPECT_LE(w.ht.unsafe_size(), 1200u);
+  }
 }
 
 TEST_P(ContainerStress, QueueConservesItems) {

@@ -13,6 +13,9 @@
 //                      anomaly (allowed by the algorithms as published).
 //   SemanticReval    — a cmp whose outcome flips concurrently must abort
 //                      (the paper's semantic-revalidation obligation).
+//   HashtableProbe   — the stable-compare hashtable probe against an insert
+//                      that fills the probed FREE cell, and against one
+//                      that recycles its tombstone (DESIGN.md §4.7).
 //   SerialGate/Orec  — direct litmus over the runtime primitives, proving
 //                      the enter/acquire drain and the single-releaser
 //                      unlock at schedule granularity.
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "containers/topen_hashtable.hpp"
 #include "runtime/orec.hpp"
 #include "sched/litmus.hpp"
 #include "sched/thread_runner.hpp"
@@ -124,9 +128,10 @@ std::string replay_t_first(sched::LitmusTest& test, unsigned tid) {
 /// thousands, past the Debug-tier budget — those explorations stay
 /// systematic-but-bounded, while small trees still certify exhaustion.
 /// Raise SEMSTM_LITMUS_MAX_SCHEDULES for nightly-depth runs.
-ExploreResult explore_bounded(sched::LitmusTest& test) {
+ExploreResult explore_bounded(sched::LitmusTest& test,
+                              std::uint64_t max_schedules = 20000) {
   ExploreOptions opts;
-  opts.max_schedules = 20000;
+  opts.max_schedules = max_schedules;
   return explore(test, opts);
 }
 
@@ -419,6 +424,155 @@ TEST_P(LitmusPerAlgo, FlippedCmpOutcomeIsAlwaysRevalidated) {
   }
   EXPECT_EQ(replay_t_first(test, 0), "x=0,y=1,z=1");
   EXPECT_EQ(replay_t_first(test, 1), "x=0,y=0,z=0");
+  expect_witnesses_replay(test, r);
+}
+
+// ---------------------------------------------------------------------------
+// Hashtable probe over one cell, with the stable-compare probe
+// (ProbeMode::kStable). T0 {found = contains(k); flag_seen = (flag == 1)},
+// T1 {insert(k'); flag = 1}. The table has one cell, so every probe and
+// every insert touches it.
+//
+// The container never stores FREE once built, which is the stable
+// compare's premise, so reset() rewrites the cell's two words directly,
+// at addresses recorded once when the constructor inserts a key through
+// WordRecorder. Nothing runs during a reset, and the words keep their
+// addresses across resets, as the DFS needs.
+// ---------------------------------------------------------------------------
+
+/// A descriptor of plain loads and stores that records every word written.
+struct WordRecorder {
+  std::vector<tword*> written;
+  word_t read(const tword* a) { return a->load(std::memory_order_relaxed); }
+  void write(tword* a, word_t v) {
+    written.push_back(a);
+    a->store(v, std::memory_order_relaxed);
+  }
+  bool cmp(const tword* a, Rel rel, word_t v) { return eval(rel, read(a), v); }
+  bool cmp_or(const CmpTerm* terms, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (terms[i].eval_now()) return true;
+    }
+    return false;
+  }
+};
+
+class HashtableProbeLitmus final : public TmLitmus {
+ public:
+  /// The cell starts as `start` (kFree, or kRemoved holding kOldKey); T0
+  /// probes for `probe_key`, T1 inserts `insert_key`.
+  HashtableProbeLitmus(std::string algo, TOpenHashTable::State start,
+                       std::int64_t probe_key, std::int64_t insert_key)
+      : TmLitmus(std::move(algo), 2),
+        start_(start),
+        probe_key_(probe_key),
+        insert_key_(insert_key) {
+    WordRecorder rec;
+    (void)table_.insert(rec, kOldKey);  // writes the key, then the state
+    key_ = rec.written.at(0);
+    state_ = rec.written.at(1);
+  }
+
+  void reset_memory() override {
+    key_->store(static_cast<word_t>(kOldKey), std::memory_order_relaxed);
+    state_->store(static_cast<word_t>(start_), std::memory_order_relaxed);
+    flag_.unsafe_set(0);
+    found_ = flag_seen_ = tomb_ = inserted_ = -1;
+  }
+  void body(unsigned tid) override {
+    if (tid == 0) {
+      atomically([&](auto& tx) {
+        found_ = table_.contains(tx, probe_key_) ? 1 : 0;
+        // Whether the cell still held its tombstone when the probe ended
+        // (a plain load: the test's view, not the transaction's).
+        tomb_ = state_->load(std::memory_order_relaxed) ==
+                        static_cast<word_t>(TOpenHashTable::kRemoved)
+                    ? 1
+                    : 0;
+        flag_seen_ = flag_.eq(tx, 1L) ? 1 : 0;
+      });
+    } else {
+      atomically([&](auto& tx) {
+        inserted_ = table_.insert(tx, insert_key_) ? 1 : 0;
+        flag_.set(tx, 1);
+      });
+    }
+  }
+  std::string outcome() override {
+    std::string o = "found=" + std::to_string(found_) +
+                    ",flag=" + std::to_string(flag_seen_) +
+                    ",inserted=" + std::to_string(inserted_);
+    if (start_ == TOpenHashTable::kRemoved) o += ",tomb=" + std::to_string(tomb_);
+    return o;
+  }
+
+ private:
+  static constexpr std::int64_t kOldKey = 3;
+  const TOpenHashTable::State start_;
+  const std::int64_t probe_key_;
+  const std::int64_t insert_key_;
+  TOpenHashTable table_{1, TOpenHashTable::ProbeMode::kStable};
+  tword* key_ = nullptr;
+  tword* state_ = nullptr;
+  TVar<long> flag_{0};
+  int found_ = -1, flag_seen_ = -1, tomb_ = -1, inserted_ = -1;
+};
+
+/// Budget for the two probe litmus tests: it exhausts the CGL and
+/// NOrec-family trees of the fill case and the CGL tree of the recycle
+/// case; the larger trees stay bounded.
+constexpr std::uint64_t kProbeSchedules = 80000;
+
+// T1's insert fills the FREE cell T0 probes for the same key. T0's probe
+// records `state != FREE` observed false, which the fill flips: T0 either
+// runs entirely before T1 (absent, flag 0) or after it (found, flag 1).
+TEST_P(LitmusPerAlgo, ProbeOfFreeCellSerializesWithTheInsertFillingIt) {
+  HashtableProbeLitmus test(GetParam(), TOpenHashTable::kFree, 7, 7);
+  const ExploreResult r = explore_bounded(test, kProbeSchedules);
+  log_result("HashtableFreeFill", GetParam(), r);
+  EXPECT_GT(r.schedules, 1u);
+  const std::string t0_first = "found=0,flag=0,inserted=1";
+  const std::string t1_first = "found=1,flag=1,inserted=1";
+  for (const std::string& outcome : r.outcome_set()) {
+    EXPECT_TRUE(outcome == t0_first || outcome == t1_first)
+        << "non-serializable probe outcome " << outcome;
+  }
+  if (r.exhaustive) {
+    EXPECT_EQ(r.outcome_set(), (std::vector<std::string>{t0_first, t1_first}));
+  }
+  EXPECT_EQ(replay_t_first(test, 0), t0_first);
+  EXPECT_EQ(replay_t_first(test, 1), t1_first);
+  expect_witnesses_replay(test, r);
+}
+
+// T1's insert of another key recycles the tombstone T0's probe passes
+// (REMOVED -> BUSY). The held stable compare left no entry and the clause
+// `state == REMOVED || key != k` keeps its outcome, so S-NOrec and S-TL2
+// may commit T0 across the recycle (tomb=1 with flag=1); the base cores
+// validate the state word itself and must abort there. T0 seeing the
+// recycled cell without T1's flag (tomb=0, flag=0) is never serializable.
+TEST_P(LitmusPerAlgo, TombstoneRecycledUnderProbeKeepsProbeSerializable) {
+  HashtableProbeLitmus test(GetParam(), TOpenHashTable::kRemoved, 5, 9);
+  const ExploreResult r = explore_bounded(test, kProbeSchedules);
+  log_result("HashtableTombRecycle", GetParam(), r);
+  EXPECT_GT(r.schedules, 1u);
+  const std::string t0_first = "found=0,flag=0,inserted=1,tomb=1";
+  const std::string t1_first = "found=0,flag=1,inserted=1,tomb=0";
+  const std::string across = "found=0,flag=1,inserted=1,tomb=1";
+  const bool semantic = GetParam() == "snorec" || GetParam() == "stl2";
+  for (const std::string& outcome : r.outcome_set()) {
+    EXPECT_TRUE(outcome == t0_first || outcome == t1_first ||
+                (semantic && outcome == across))
+        << GetParam() << ": unexpected probe outcome " << outcome;
+  }
+  if (semantic) {
+    EXPECT_EQ(r.outcomes.count(across), 1u)
+        << "the probe never committed across the recycle";
+  } else if (r.exhaustive) {
+    EXPECT_EQ(r.outcome_set(), (std::vector<std::string>{t0_first, t1_first}));
+  }
+  EXPECT_EQ(replay_t_first(test, 0), t0_first);
+  EXPECT_EQ(replay_t_first(test, 1), t1_first);
   expect_witnesses_replay(test, r);
 }
 

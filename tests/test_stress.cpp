@@ -196,7 +196,8 @@ class HashtableChurnWorkload final
   static constexpr std::uint64_t kKeySpace = 48;
   static constexpr unsigned kOpsPerTx = 10;
 
-  explicit HashtableChurnWorkload(unsigned threads) : net_(threads, 0) {}
+  HashtableChurnWorkload(unsigned threads, TOpenHashTable::ProbeMode mode)
+      : table_(kCapacity, mode), net_(threads, 0) {}
 
   void setup(Rng& rng) override {
     auto algo = make_algorithm("cgl");
@@ -248,8 +249,9 @@ class HashtableChurnWorkload final
   }
 
  private:
-  // Clause probes: cmp_or for the semantic cores, plain reads for the rest.
-  TOpenHashTable table_{kCapacity, TOpenHashTable::ProbeMode::kClause};
+  // Clause or stable probes: cmp_or (and the stable FREE check) for the
+  // semantic cores, plain reads for the rest.
+  TOpenHashTable table_;
   std::size_t prefill_ = 0;
   std::vector<std::int64_t> net_;  ///< per thread, written by its owner
 };
@@ -258,11 +260,16 @@ TEST_P(Stress, HashtableChurnConservesSize) {
   // Real threads need enough transactions to overlap past thread start-up.
   const std::uint64_t ops =
       std::get<1>(GetParam()) == ExecMode::kSim ? 300 : 4000;
-  HashtableChurnWorkload w(4);
-  const RunResult r = run_workload(config(4, ops), w);
-  EXPECT_EQ(r.stats.commits, 4 * ops);
-  expect_stats_contract(r.stats);
-  w.verify();
+  // Algorithm 2's clause probe, then the stable-compare probe.
+  for (const auto mode : {TOpenHashTable::ProbeMode::kClause,
+                          TOpenHashTable::ProbeMode::kStable}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    HashtableChurnWorkload w(4, mode);
+    const RunResult r = run_workload(config(4, ops), w);
+    EXPECT_EQ(r.stats.commits, 4 * ops);
+    expect_stats_contract(r.stats);
+    w.verify();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
