@@ -7,8 +7,8 @@
 //     last row adds the stable compare (an extension beyond Table 1):
 //     the clause probe with its FREE check left unrecorded once it holds.
 //     Validate entries per commit show the validation work each row pays.
-//  B. Orec table sizing for TL2/S-TL2: fewer orecs -> more false
-//     conflicts via hash collisions.
+//  B. Orec table sizing for TL2/S-TL2: the stripe map gives words a
+//     table size apart one orec, so fewer orecs -> more false conflicts.
 //  C. Semantic RB-tree descent: the paper leaves tree internals
 //     untransformed (its GCC pass cannot see through STAMP's comparator
 //     functions); what would transforming them buy?
@@ -64,7 +64,7 @@ void ablation_clause(std::uint64_t ops) {
 
 void ablation_orecs(std::uint64_t ops) {
   std::printf("## B. orec table size (TL2 family): false conflicts from "
-              "hash collisions\n");
+              "stripe aliasing\n");
   std::printf("log2_orecs,tl2_abort%%,stl2_abort%%\n");
   for (const unsigned log2 : {6u, 10u, 14u, 18u}) {
     double aborts[2];

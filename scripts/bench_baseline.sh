@@ -5,8 +5,9 @@
 #                       (wall-clock per-op costs of the hot paths)
 #   BENCH_fig1.json   — one merged document with the "# JSON" summary of
 #                       every fig1 benchmark in deterministic sim mode
-#                       (virtual-tick metrics: load-independent, so CI can
-#                       compare them tightly)
+#                       (virtual-tick metrics: load-independent and the
+#                       same on every run of the same program, so CI
+#                       compares them exactly)
 #
 # Run from a quiet machine and commit the two files whenever a PR
 # intentionally moves performance. scripts/ci_perf_smoke.sh compares a
@@ -20,16 +21,6 @@ outdir="${1:-.}"
 build_dir=build-bench
 jobs="$(nproc)"
 
-# ASLR randomizes the address-hashed orec distribution run-to-run;
-# disable it when the tool exists so numbers are reproducible.
-run_stable() {
-    if command -v setarch >/dev/null 2>&1 && setarch "$(uname -m)" -R true 2>/dev/null; then
-        setarch "$(uname -m)" -R "$@"
-    else
-        "$@"
-    fi
-}
-
 echo "=== Release build ==="
 cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${build_dir}" -j "${jobs}" --target micro_ops \
@@ -37,7 +28,7 @@ cmake --build "${build_dir}" -j "${jobs}" --target micro_ops \
     fig1_vacation fig1_labyrinth fig1_yada >/dev/null
 
 echo "=== micro_ops -> ${outdir}/BENCH_micro.json ==="
-run_stable "${build_dir}/bench/micro_ops" \
+"${build_dir}/bench/micro_ops" \
     --json-out="${outdir}/BENCH_micro.json" \
     --benchmark_min_time=0.2 >/dev/null
 
@@ -47,7 +38,7 @@ trap 'rm -rf "${tmpdir}"' EXIT
 figures=(bank hashtable lru kmeans vacation labyrinth yada)
 for fig in "${figures[@]}"; do
     echo "  fig1_${fig}"
-    run_stable "${build_dir}/bench/fig1_${fig}" \
+    "${build_dir}/bench/fig1_${fig}" \
         --threads 1,2,4 --ops 2000 \
         --json-out "${tmpdir}/${fig}.json" >/dev/null
 done

@@ -9,10 +9,11 @@
 // retry loop folds it into a per-descriptor ConflictMap keyed by conflict
 // *site*:
 //
-//   - orec-granular sites (TL2 / S-TL2) key on the orec table index: many
-//     addresses hash onto one orec, and the orec is what the algorithm
-//     actually fights over — false sharing across the hash shows up as one
-//     hot site, which is exactly the diagnosis the map exists to make.
+//   - orec-granular sites (TL2 / S-TL2) key on the orec table index: every
+//     address a table size of words apart maps onto one orec (the stripe
+//     map, runtime/orec.hpp), and the orec is what the algorithm actually
+//     fights over — false sharing across a stripe shows up as one hot
+//     site, which is exactly the diagnosis the map exists to make.
 //   - address-granular sites (NOrec family value/cmp validation) key on
 //     the word region (kRegionShift; word granularity by default).
 //

@@ -1,6 +1,7 @@
 // Ownership records (orecs) for TL2 / S-TL2.
 //
-// Shared words hash onto a fixed table of orecs. Each orec carries a
+// Shared words map onto a fixed table of orecs by stripe, as RSTM does:
+// word k (address >> 3) owns slot k mod table size. Each orec carries a
 // version (the global timestamp of the last commit that wrote under it)
 // and an owner pointer (the transaction currently holding its commit-time
 // lock, or null). Keeping the two in separate atomics — rather than the
@@ -78,8 +79,18 @@ struct Orec {
 
 class OrecTable {
  public:
-  /// `log2_size` trades memory for fewer false conflicts (hash collisions);
+  /// `log2_size` trades memory for fewer false conflicts (stripe aliasing);
   /// bench/ablation sweeps it. Default 2^16 orecs.
+  ///
+  /// The map is the stripe map: of(addr) is slot (addr >> 3) & mask. Two
+  /// words share an orec exactly when their addresses differ by a multiple
+  /// of size * 8 bytes (512 KiB at the default size). Which words collide
+  /// is a function of address differences, not of where the heap starts,
+  /// so data moved as a whole keeps every collision. Neighbouring words
+  /// get neighbouring orecs: a transaction walking an array touches one
+  /// orec line per 32 bytes it reads. There is one map and no selector: a
+  /// multiplicative map collides on the same words (an odd multiplier
+  /// permutes the residues) but scatters neighbours over separate lines.
   ///
   /// Layout (padding audit, DESIGN.md §4.16): orecs are deliberately NOT
   /// padded individually — striping four 16-byte orecs per line is the
@@ -87,17 +98,13 @@ class OrecTable {
   /// stripes sharing a line only costs locality under contention, never
   /// correctness. What IS guaranteed is the table base's alignment: the
   /// slab starts on a cache-line boundary, so no orec straddles two lines
-  /// and the stripe <-> line mapping is stable across runs.
+  /// and the orecs of an aligned 32-byte group of words share one line.
   explicit OrecTable(unsigned log2_size = 16)
       : mask_((std::size_t{1} << log2_size) - 1),
         slots_(make_slots(std::size_t{1} << log2_size)) {}
 
   Orec& of(const tword* addr) noexcept {
-    auto h = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-    h ^= h >> 17;
-    h *= 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 29;
-    return slots_[static_cast<std::size_t>(h) & mask_];
+    return slots_[(reinterpret_cast<std::uintptr_t>(addr) >> 3) & mask_];
   }
 
   std::size_t size() const noexcept { return mask_ + 1; }
@@ -105,7 +112,7 @@ class OrecTable {
   /// Slot index of an orec returned by of(). Stable across table
   /// re-allocations for a fixed accessed address — unlike the orec's heap
   /// address — which is what deterministic re-execution (the litmus DFS
-  /// re-runs a test against a freshly built table per schedule) hashes on.
+  /// re-runs a test against a freshly built table per schedule) keys on.
   std::size_t index(const Orec* o) const noexcept {
     return static_cast<std::size_t>(o - slots_.get());
   }

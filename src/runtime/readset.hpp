@@ -25,13 +25,18 @@
 //    validating it once, and within one transaction two plain reads of the
 //    same address can only legally observe the same value (a change fails
 //    the earlier entry during revalidation).
+//  - The set owns its row buffer. An append is one capacity check and one
+//    store, small enough to inline into every barrier whatever else the
+//    translation unit holds; growth (doubling, kept across clear()) is a
+//    cold out-of-line member, so no reallocation path sits in a barrier.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
+#include <memory>
 
 #include "core/semantics.hpp"
 #include "core/word.hpp"
@@ -136,30 +141,27 @@ class ReadSet {
   /// entry (same address, same observed value) sits within the dedup
   /// window — the duplicate is skipped.
   bool append_value(const tword* addr, word_t observed) {
-    const std::size_t n = entries_.size();
+    const std::size_t n = rows_;
     const std::size_t lookback = n < kDedupWindow ? n : kDedupWindow;
     for (std::size_t i = 0; i < lookback; ++i) {
-      const ReadEntry& p = entries_[n - 1 - i];
+      const ReadEntry& p = buf_[n - 1 - i];
       // nterms == 1 excludes clause heads AND continuation rows (0).
       if (p.addr == addr && p.operand == observed && p.nterms == 1 &&
           p.expected && p.rel == Rel::EQ && p.rhs_addr == nullptr) {
         return false;
       }
     }
-    entries_.push_back(ReadEntry{addr, nullptr, observed, Rel::EQ, 1, true});
-    ++clauses_;
+    push(ReadEntry{addr, nullptr, observed, Rel::EQ, 1, true});
     return true;
   }
 
   /// Record a semantic compare with its observed outcome.
   void append_cmp(const tword* addr, Rel rel, word_t operand, bool outcome) {
-    entries_.push_back(ReadEntry{addr, nullptr, operand, rel, 1, outcome});
-    ++clauses_;
+    push(ReadEntry{addr, nullptr, operand, rel, 1, outcome});
   }
 
   void append_cmp2(const tword* a, Rel rel, const tword* b, bool outcome) {
-    entries_.push_back(ReadEntry{a, b, 0, rel, 1, outcome});
-    ++clauses_;
+    push(ReadEntry{a, b, 0, rel, 1, outcome});
   }
 
   /// Record a disjunctive clause (OR of all n terms) with its observed
@@ -169,36 +171,57 @@ class ReadSet {
   void append_clause(const CmpTerm* terms, std::size_t n, bool outcome) {
     if (n == 0) return;
     if (n > kMaxClauseTerms) die_clause_too_long(n);
-    entries_.push_back(ReadEntry{terms[0].addr, terms[0].rhs_addr,
-                                 terms[0].operand, terms[0].rel,
-                                 static_cast<std::uint8_t>(n), outcome});
+    if (cap_ - rows_ < n) [[unlikely]] grow(n);
+    ReadEntry* row = buf_.get() + rows_;
+    row[0] = ReadEntry{terms[0].addr, terms[0].rhs_addr, terms[0].operand,
+                       terms[0].rel, static_cast<std::uint8_t>(n), outcome};
     for (std::size_t i = 1; i < n; ++i) {
-      entries_.push_back(ReadEntry{terms[i].addr, terms[i].rhs_addr,
-                                   terms[i].operand, terms[i].rel, 0,
-                                   outcome});
+      row[i] = ReadEntry{terms[i].addr, terms[i].rhs_addr, terms[i].operand,
+                         terms[i].rel, 0, outcome};
     }
+    rows_ += n;
     ++clauses_;
   }
 
-  bool empty() const noexcept { return entries_.empty(); }
+  bool empty() const noexcept { return rows_ == 0; }
   /// Number of clauses (validation units), not rows.
   std::size_t size() const noexcept { return clauses_; }
   /// Number of 32-byte rows (clauses plus continuation rows).
-  std::size_t rows() const noexcept { return entries_.size(); }
+  std::size_t rows() const noexcept { return rows_; }
 
+  /// Empties the set and keeps its buffer for the next attempt.
   void clear() noexcept {
-    entries_.clear();
+    rows_ = 0;
     clauses_ = 0;
   }
 
-  const_iterator begin() const noexcept {
-    return const_iterator(entries_.data());
-  }
+  const_iterator begin() const noexcept { return const_iterator(buf_.get()); }
   const_iterator end() const noexcept {
-    return const_iterator(entries_.data() + entries_.size());
+    return const_iterator(buf_.get() + rows_);
   }
 
  private:
+  /// Rows the first growth allocates (2 KiB).
+  static constexpr std::size_t kInitialRows = 64;
+
+  /// Append one single-row clause.
+  void push(const ReadEntry& e) {
+    if (rows_ == cap_) [[unlikely]] grow(1);
+    buf_[rows_++] = e;
+    ++clauses_;
+  }
+
+  /// Double the buffer until `more` rows fit past the current ones. Out of
+  /// line and cold, so every append site keeps only the check and the store.
+  [[gnu::cold, gnu::noinline]] void grow(std::size_t more) {
+    std::size_t cap = std::max(cap_, kInitialRows);
+    while (cap - rows_ < more) cap *= 2;
+    auto next = std::make_unique<ReadEntry[]>(cap);
+    std::copy(buf_.get(), buf_.get() + rows_, next.get());
+    buf_ = std::move(next);
+    cap_ = cap;
+  }
+
   /// Diagnose-and-die: a longer clause cannot be recorded whole, and
   /// recording part of it would validate a different OR than the one the
   /// transaction acted on. Fails in every build, like die_no_ctx.
@@ -211,7 +234,9 @@ class ReadSet {
     std::abort();
   }
 
-  std::vector<ReadEntry> entries_;
+  std::unique_ptr<ReadEntry[]> buf_;
+  std::size_t rows_ = 0;  ///< rows in use
+  std::size_t cap_ = 0;   ///< rows allocated
   std::size_t clauses_ = 0;
 };
 

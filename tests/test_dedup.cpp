@@ -8,11 +8,14 @@
 // transaction observes or commits.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "runtime/orec.hpp"
 #include "semstm.hpp"
+#include "util/rng.hpp"
 
 namespace semstm {
 namespace {
@@ -87,8 +90,9 @@ TEST_P(DedupStats, InterleavedRereadsStillCommitCorrectValues) {
     for (int i = 0; i < 8; ++i) s += a.get(tx) + b.get(tx);
     // Two back-to-back reads of one location: the second is a dup under
     // both schemes no matter how a and b alias in TL2's direct-mapped
-    // cache (their slots are address-dependent, so the interleaved loop
-    // alone can thrash to zero dups under ASLR).
+    // cache (their slots follow their addresses, so the interleaved loop
+    // alone thrashes to zero dups when they sit a multiple of 128 bytes
+    // apart).
     s += a.get(tx) - a.get(tx);
     out.set(tx, s);
   });
@@ -130,6 +134,42 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DedupStats,
                          ::testing::Values("cgl", "norec", "snorec", "tl2",
                                            "stl2"),
                          [](const auto& info) { return info.param; });
+
+// TL2-family dedup keys on the orec slot (index & 15 in the direct-mapped
+// cache), and false conflicts on shared slots. Both must follow from the
+// program's address differences alone, not from where the heap starts.
+TEST(OrecMap, ShiftingAWordShiftsItsSlotByTheSameNumberOfWords) {
+  for (const unsigned log2 : {8u, 16u}) {
+    OrecTable orecs(log2);
+    const std::size_t mask = orecs.size() - 1;
+    const auto slot = [&](std::uintptr_t a) {
+      // Never dereferenced: of() only maps the address to a slot.
+      return orecs.index(&orecs.of(reinterpret_cast<const tword*>(a)));
+    };
+    Rng rng(log2);
+    for (int i = 0; i < 4096; ++i) {
+      const std::uintptr_t a = rng.next() & ~std::uintptr_t{7};
+      // Odd iterations shift by whole pages, as a moved heap does.
+      const std::uintptr_t d = i % 2 ? rng.below(std::uint64_t{1} << 24) * 4096
+                                     : rng.next() & ~std::uintptr_t{7};
+      ASSERT_EQ(slot(a + d), (slot(a) + d / 8) & mask)
+          << "log2 " << log2 << " a " << a << " d " << d;
+    }
+  }
+}
+
+TEST(OrecMap, ConsecutiveWordsGetDistinctOrecs) {
+  for (const unsigned log2 : {8u, 16u}) {
+    OrecTable orecs(log2);
+    const std::vector<tword> words(orecs.size());
+    std::vector<bool> taken(orecs.size());
+    for (const tword& w : words) {
+      const std::size_t s = orecs.index(&orecs.of(&w));
+      ASSERT_FALSE(taken[s]) << "log2 " << log2 << " slot " << s;
+      taken[s] = true;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace semstm

@@ -5,9 +5,9 @@
 // MonoWorkload replay bit-identically.
 //
 // The shared state is owned by the fixture and reset (not reallocated)
-// between runs: TL2-family read-set counters depend on address-hashed orec
-// indices, so the comparison is only meaningful when both runs see the
-// same addresses.
+// between runs: TL2-family read-set counters depend on which words share
+// an orec, a function of their addresses, so the comparison is only
+// meaningful when both runs see the same addresses.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,9 +102,10 @@ TEST_P(DispatchParity, SimRunsAreBitIdenticalAcrossRepeats) {
   // GV4 clock, the announce-slot gate, and the SpinWait escalation must
   // leave the 1-carrier sim's yield-point sequence untouched, so the same
   // config over the same addresses reproduces every counter and the
-  // makespan exactly. (Cross-binary TL2 counts may legitimately differ —
-  // orec hashing is address-dependent — which is precisely why this
-  // comparison runs within one process over fixture-owned cells.)
+  // makespan exactly. (Another allocation pattern may legitimately move
+  // TL2 counts — which words share an orec depends on their address
+  // differences — which is precisely why this comparison runs within one
+  // process over fixture-owned cells.)
   const RunResult a = run();
   const RunResult b = run();
   EXPECT_GT(a.stats.commits, 0u);

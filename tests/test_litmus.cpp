@@ -63,8 +63,8 @@ class PoliteCm final : public ContentionManager {
 /// descriptors, contexts) on every reset, because a truncated schedule can
 /// unwind mid-commit and leave shared metadata (odd seqlock, locked orecs,
 /// held gate) in an arbitrary in-protocol state. TVar storage lives in the
-/// subclass at a fixed address across resets, so orec hashing is stable
-/// within one exploration (the DFS relies on replay determinism).
+/// subclass at a fixed address across resets, so the word-to-orec map is
+/// stable within one exploration (the DFS relies on replay determinism).
 class TmLitmus : public sched::LitmusTest {
  public:
   TmLitmus(std::string algo, unsigned nthreads)

@@ -514,7 +514,8 @@ bool hists_empty(const TxStats& s) {
 
 TEST(CartographyEndToEnd, ObservingARunLeavesTheSimulationUnchanged) {
   // NOrec-family sim output does not depend on heap addresses, so the two
-  // runs must match bit for bit; TL2-family orec hashing would not.
+  // runs must match bit for bit; TL2-family output depends on which words
+  // share an orec, which the two runs' separate allocations may change.
   for (const bool semantic : {false, true}) {
     const char* algo = semantic ? "snorec" : "norec";
     SCOPED_TRACE(algo);

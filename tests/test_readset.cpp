@@ -1,6 +1,8 @@
 // Unit tests for read-set / compare-set entries and semantic validation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
 #include <vector>
 
 #include "runtime/readset.hpp"
@@ -215,6 +217,61 @@ TEST(ReadSet, ZeroTermClauseRecordsNothing) {
   ReadSet rs;
   rs.append_clause(nullptr, 0, /*outcome=*/false);
   EXPECT_TRUE(rs.empty());
+}
+
+TEST(ReadSet, GrowthKeepsEveryClauseAcrossDoublingsAndClear) {
+  // The buffer doubles several times on the way to kRows rows. A five-row
+  // clause starts two rows short of every power-of-two row count, so one
+  // straddles each doubling: growth must move the head row and its
+  // continuations as one unit. The second round runs on the buffer that
+  // clear() kept.
+  constexpr std::size_t kRows = 1100;
+  constexpr unsigned kTerms = 5;
+  std::vector<tword> w(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) w[i].store(i);
+  ReadSet rs;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::pair<std::size_t, unsigned>> want;  // first word, rows
+    std::size_t i = 0;
+    while (i < kRows) {
+      if (std::has_single_bit(rs.rows() + 2) && rs.rows() >= 6 &&
+          i + kTerms <= kRows) {
+        CmpTerm terms[kTerms];
+        for (unsigned t = 0; t < kTerms; ++t) {
+          terms[t] = CmpTerm{&w[i + t], nullptr, i + t, Rel::EQ};
+        }
+        rs.append_clause(terms, kTerms, /*outcome=*/true);
+        want.emplace_back(i, kTerms);
+        i += kTerms;
+      } else {
+        if (i % 2) {
+          rs.append_cmp(&w[i], Rel::EQ, i, /*outcome=*/true);
+        } else {
+          EXPECT_TRUE(rs.append_value(&w[i], i));
+        }
+        want.emplace_back(i, 1);
+        ++i;
+      }
+    }
+    ASSERT_EQ(rs.rows(), kRows);
+    ASSERT_EQ(rs.size(), want.size());
+    std::size_t c = 0;
+    for (const auto clause : rs) {
+      ASSERT_LT(c, want.size());
+      const auto [first, nrows] = want[c];
+      ASSERT_EQ(clause.count(), nrows) << "clause " << c;
+      for (unsigned t = 0; t < nrows; ++t) {
+        EXPECT_EQ(clause.row(t).addr, &w[first + t]) << "clause " << c;
+        EXPECT_EQ(clause.row(t).operand, first + t) << "clause " << c;
+      }
+      EXPECT_TRUE(clause.holds()) << "clause " << c;
+      ++c;
+    }
+    EXPECT_EQ(c, want.size());
+    rs.clear();
+    EXPECT_TRUE(rs.empty());
+    EXPECT_TRUE(rs.begin() == rs.end());
+  }
 }
 
 TEST(ReadSet, ClearResets) {

@@ -12,14 +12,15 @@
 // 2. Deterministic-scheduler oracle: every built-in kernel, pre- vs
 //    post-pass, run under the virtual scheduler across all five
 //    algorithms, must produce bit-identical per-op results, final memory
-//    and per-fiber commit counts (each fiber owns disjoint tables, placed
-//    so that no two fibers' words share an orec, so the two pipelines
-//    face identical conflict structure: none).
+//    and per-fiber commit counts (each fiber owns disjoint tables, sliced
+//    from one array so that no two fibers' words share an orec, so the
+//    two pipelines face identical conflict structure: none).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -331,15 +332,10 @@ constexpr std::size_t kCap = 32;     // hash-table capacity (power of 2)
 constexpr std::size_t kRecords = 8;  // reserve() tables
 constexpr unsigned kFeatures = 8;
 
-/// One fiber's kernel state. Both pipelines run over the same instances,
-/// reset between runs rather than reallocated: TL2-family aborts depend on
-/// address-hashed orec collisions, so raw and optimized runs are only
-/// comparable at identical addresses (an allocator that delays reusing
-/// freed blocks, such as ASan's, would otherwise move them).
+/// One fiber's kernel state: five tables, each a slice of KernelMemory.
 struct FiberTables {
   // `record` is the center-update record: [len, center[0..kFeatures)].
-  TArray<std::int64_t> states{kCap, 0}, keys{kCap, 0}, numfree{kRecords, 3},
-      price{kRecords, 0}, record{kFeatures + 1, 0};
+  std::span<TVar<std::int64_t>> states, keys, numfree, price, record;
 
   void reset(unsigned fiber) {
     Rng setup(900 + fiber);
@@ -355,57 +351,54 @@ struct FiberTables {
   }
 };
 
-/// Orec slots of every word in `tb`. A slot index is a function of the
-/// word's address alone (OrecTable::index), so a table of the algorithms'
-/// default size maps the words exactly as a TL2-family run will.
-std::vector<std::size_t> orec_slots(const FiberTables& tb, OrecTable& orecs) {
+/// Every fiber's tables, sliced from one array of consecutive words. The
+/// stripe map gives consecutive words distinct orecs while the array is
+/// shorter than the orec table, so no two fibers' words share an orec by
+/// construction: a false conflict would abort in one interleaving and not
+/// in another, and the raw and optimized runs would no longer face the
+/// same (absent) conflict structure. Both pipelines run over this one
+/// instance, reset between runs rather than reallocated.
+struct KernelMemory {
+  static constexpr std::size_t kFiberWords =
+      2 * kCap + 2 * kRecords + kFeatures + 1;
+  TArray<std::int64_t> words{kFibers * kFiberWords, 0};
+  std::vector<FiberTables> fibers;
+
+  KernelMemory() {
+    std::size_t at = 0;
+    const auto take = [&](std::size_t n) {
+      std::span<TVar<std::int64_t>> slice(&words[at], n);
+      at += n;
+      return slice;
+    };
+    for (unsigned f = 0; f < kFibers; ++f) {
+      fibers.push_back(FiberTables{take(kCap), take(kCap), take(kRecords),
+                                   take(kRecords), take(kFeatures + 1)});
+    }
+  }
+};
+
+/// Orec slots of every fiber's words, as the algorithms' default table
+/// maps them (a slot index is a function of the word's address alone).
+std::vector<std::size_t> orec_slots(const KernelMemory& mem) {
+  OrecTable orecs(AlgoOptions{}.orec_log2);
   std::vector<std::size_t> slots;
-  for (const auto* arr : {&tb.states, &tb.keys, &tb.numfree, &tb.price,
-                          &tb.record}) {
-    for (std::size_t i = 0; i < arr->size(); ++i) {
-      slots.push_back(orecs.index(&orecs.of((*arr)[i].word())));
+  for (const FiberTables& tb : mem.fibers) {
+    for (const auto& table : {tb.states, tb.keys, tb.numfree, tb.price,
+                              tb.record}) {
+      for (const TVar<std::int64_t>& v : table) {
+        slots.push_back(orecs.index(&orecs.of(v.word())));
+      }
     }
   }
   return slots;
 }
 
-/// One FiberTables per fiber, no two fibers' words sharing an orec.
-/// Disjoint tables can still hash to one orec; that false conflict aborts
-/// in one interleaving and not in another, so the raw and optimized runs
-/// would no longer face the same (absent) conflict structure. A fiber
-/// whose slots meet an earlier fiber's is re-allocated; the rejected
-/// tables stay alive until placement ends, so the allocator cannot hand
-/// the same addresses back.
-std::vector<FiberTables> place_fiber_tables() {
-  constexpr std::size_t kMaxTries = 64;
-  OrecTable orecs(AlgoOptions{}.orec_log2);
-  std::vector<bool> taken(orecs.size());
-  std::vector<FiberTables> placed;
-  std::vector<FiberTables> rejected;
-  while (placed.size() < kFibers) {
-    FiberTables tb;
-    const std::vector<std::size_t> slots = orec_slots(tb, orecs);
-    if (std::any_of(slots.begin(), slots.end(),
-                    [&](std::size_t s) { return taken[s]; })) {
-      if (rejected.size() == kMaxTries) {
-        ADD_FAILURE() << "no orec-disjoint placement for fiber "
-                      << placed.size() << " in " << kMaxTries << " tries";
-        return {};
-      }
-      rejected.push_back(std::move(tb));
-      continue;
-    }
-    for (std::size_t s : slots) taken[s] = true;
-    placed.push_back(std::move(tb));
-  }
-  return placed;
-}
-
 /// Run a scripted kernel workload on the virtual scheduler, with a fresh
 /// algorithm instance over `tables` (one per fiber, reset first). Each
-/// fiber owns disjoint tables on disjoint orecs (place_fiber_tables), so
-/// raw and optimized pipelines see the same (absent) conflict structure
-/// even though the optimized one issues fewer barriers and therefore
+/// fiber owns disjoint tables on disjoint orecs (KernelMemory), so raw
+/// and optimized pipelines see the same (absent) conflict structure even
+/// though the optimized one issues fewer barriers and therefore
 /// interleaves differently.
 PipelineRun run_kernels(const std::string& algo_name, bool optimized,
                         std::vector<FiberTables>& tables) {
@@ -499,10 +492,16 @@ PipelineRun run_kernels(const std::string& algo_name, bool optimized,
 class SchedulerOracle : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedulerOracle, OptimizedKernelsAreBitIdenticalUnderTheScheduler) {
-  std::vector<FiberTables> tables = place_fiber_tables();
-  ASSERT_EQ(tables.size(), kFibers);
-  const PipelineRun raw = run_kernels(GetParam(), /*optimized=*/false, tables);
-  const PipelineRun opt = run_kernels(GetParam(), /*optimized=*/true, tables);
+  KernelMemory mem;
+  std::vector<std::size_t> slots = orec_slots(mem);
+  ASSERT_EQ(slots.size(), kFibers * KernelMemory::kFiberWords);
+  std::sort(slots.begin(), slots.end());
+  ASSERT_EQ(std::adjacent_find(slots.begin(), slots.end()), slots.end())
+      << "two words of the kernel tables share an orec";
+  const PipelineRun raw =
+      run_kernels(GetParam(), /*optimized=*/false, mem.fibers);
+  const PipelineRun opt =
+      run_kernels(GetParam(), /*optimized=*/true, mem.fibers);
   ASSERT_EQ(raw.results.size(), opt.results.size());
   for (std::size_t t = 0; t < raw.results.size(); ++t) {
     ASSERT_EQ(raw.results[t], opt.results[t]) << "fiber " << t;
